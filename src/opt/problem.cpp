@@ -7,6 +7,45 @@
 
 namespace svtox::opt {
 
+std::vector<int> transitive_fanout_gate_counts(const netlist::FlatNetlist& flat) {
+  const std::vector<std::uint32_t>& cps = flat.control_points();
+  std::vector<int> counts(cps.size(), 0);
+  // One forward topological pass per 64 control points: reach[s] bit i is
+  // set when control point 64w+i reaches signal s. A gate lies in a
+  // point's transitive fanout exactly when the point reaches its output,
+  // so each gate adds its output's mask to 64 counters at once. The
+  // counters are bit-sliced (plane k holds bit k of all 64 counts), which
+  // makes one addition a short ripple-carry over words.
+  std::vector<std::uint64_t> reach(flat.num_signals());
+  std::vector<std::uint64_t> planes;
+  for (std::size_t base = 0; base < cps.size(); base += 64) {
+    const std::size_t width = std::min<std::size_t>(64, cps.size() - base);
+    std::fill(reach.begin(), reach.end(), std::uint64_t{0});
+    for (std::size_t i = 0; i < width; ++i) reach[cps[base + i]] |= std::uint64_t{1} << i;
+    planes.assign(1, 0);
+    for (std::uint32_t g : flat.topo_order()) {
+      std::uint64_t mask = 0;
+      const std::uint32_t* fanins = flat.fanins(g);
+      for (std::uint32_t p = 0; p < flat.fanin_count(g); ++p) mask |= reach[fanins[p]];
+      reach[flat.output(g)] = mask;
+      for (std::size_t k = 0; mask != 0; ++k) {
+        if (k == planes.size()) planes.push_back(0);
+        const std::uint64_t carry = planes[k] & mask;
+        planes[k] ^= mask;
+        mask = carry;
+      }
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+      int count = 0;
+      for (std::size_t k = 0; k < planes.size(); ++k) {
+        count |= static_cast<int>((planes[k] >> i) & 1) << k;
+      }
+      counts[base + i] = count;
+    }
+  }
+  return counts;
+}
+
 AssignmentProblem::AssignmentProblem(const netlist::Netlist& netlist,
                                      double penalty_fraction,
                                      const ProblemOptions& options)
@@ -81,30 +120,7 @@ AssignmentProblem::AssignmentProblem(const netlist::Netlist& netlist,
   }
 
   // Input ordering: descending transitive-fanout gate count.
-  std::vector<int> cone_size(static_cast<std::size_t>(netlist.num_control_points()), 0);
-  for (int i = 0; i < netlist.num_control_points(); ++i) {
-    std::vector<bool> reached(static_cast<std::size_t>(netlist.num_gates()), false);
-    std::vector<int> stack;
-    for (const netlist::Sink& sink : netlist.sinks(netlist.control_points()[i])) {
-      if (!reached[static_cast<std::size_t>(sink.gate)]) {
-        reached[static_cast<std::size_t>(sink.gate)] = true;
-        stack.push_back(sink.gate);
-      }
-    }
-    int count = 0;
-    while (!stack.empty()) {
-      const int g = stack.back();
-      stack.pop_back();
-      ++count;
-      for (const netlist::Sink& sink : netlist.sinks(netlist.gate(g).output)) {
-        if (!reached[static_cast<std::size_t>(sink.gate)]) {
-          reached[static_cast<std::size_t>(sink.gate)] = true;
-          stack.push_back(sink.gate);
-        }
-      }
-    }
-    cone_size[static_cast<std::size_t>(i)] = count;
-  }
+  const std::vector<int> cone_size = transitive_fanout_gate_counts(*flat_);
   input_order_.resize(static_cast<std::size_t>(netlist.num_control_points()));
   for (int i = 0; i < netlist.num_control_points(); ++i) {
     input_order_[static_cast<std::size_t>(i)] = i;

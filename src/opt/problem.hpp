@@ -18,6 +18,10 @@ struct VariantMenu {
   std::vector<int> by_leakage;
 };
 
+/// Per control point (Netlist::control_points() order), the number of
+/// distinct gates in its transitive fanout: the key of input_order().
+std::vector<int> transitive_fanout_gate_counts(const netlist::FlatNetlist& flat);
+
 /// Knobs beyond the delay penalty; defaults reproduce the paper's method.
 struct ProblemOptions {
   /// Combined pin reordering (paper Sec. 3, Fig. 2(d)/(e)). When disabled

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <queue>
 #include <utility>
 
 #include "util/error.hpp"
@@ -284,6 +283,17 @@ TimingState::TimingState(const netlist::Netlist& netlist)
     sink_offset_[static_cast<std::size_t>(s) + 1] =
         static_cast<std::uint32_t>(sink_rank_.size());
   }
+
+  obs_signals_.assign(netlist.observe_points().begin(), netlist.observe_points().end());
+  std::sort(obs_signals_.begin(), obs_signals_.end());
+  obs_signals_.erase(std::unique(obs_signals_.begin(), obs_signals_.end()), obs_signals_.end());
+  obs_block_.assign(static_cast<std::size_t>(n), -1);
+  for (std::size_t i = 0; i < obs_signals_.size(); ++i) {
+    obs_block_[obs_signals_[i]] = static_cast<std::int32_t>(i >> 6);
+  }
+  block_max_.assign((obs_signals_.size() + 63) / 64, 0.0);
+  dirty_blocks_.assign((block_max_.size() + 63) / 64, 0);
+  mark_all_dirty();
 }
 
 void TimingState::set_boundary(const BoundaryTiming& boundary) {
@@ -326,6 +336,7 @@ double TimingState::analyze(const sim::CircuitConfig& config, double delay_scale
     sig_[flat_->output(g)] = evaluate_gate(*netlist_, config, static_cast<int>(g),
                                            sig_.data(), load_ff_, nullptr, delay_scale);
   }
+  mark_all_dirty();
   return circuit_delay_ps();
 }
 
@@ -351,40 +362,19 @@ bool TimingState::recompute_gate(const sim::CircuitConfig& config, int gate,
 
 double TimingState::update_after_gate_change(const sim::CircuitConfig& config, int gate,
                                              TimingUndo* undo) {
-  // Process the affected cone in topological order; a min-heap over topo
-  // rank guarantees each gate is re-evaluated at most once per update with
-  // all its fanins final.
-  using Item = std::pair<int, int>;  // (rank, gate)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
-  if (queued_.size() != static_cast<std::size_t>(netlist_->num_gates())) {
-    queued_.assign(static_cast<std::size_t>(netlist_->num_gates()), false);
-  }
-  queue.push({topo_rank_[static_cast<std::size_t>(gate)], gate});
-  queued_[static_cast<std::size_t>(gate)] = true;
-
-  while (!queue.empty()) {
-    const int g = queue.top().second;
-    queue.pop();
-    queued_[static_cast<std::size_t>(g)] = false;
-    if (!recompute_gate(config, g, undo)) continue;
-    const std::uint32_t out = flat_->output(static_cast<std::uint32_t>(g));
-    const std::uint32_t* sink_gates = flat_->sink_gates(out);
-    const std::uint32_t count = flat_->sink_count(out);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t sink = sink_gates[i];
-      if (!queued_[sink]) {
-        queue.push({topo_rank_[sink], static_cast<int>(sink)});
-        queued_[sink] = true;
-      }
-    }
-  }
-  return circuit_delay_ps();
+  return propagate(config, gate, nullptr, 0.0, undo);
 }
 
 double TimingState::update_after_gate_change_bounded(
     const sim::CircuitConfig& config, int gate,
     const std::vector<double>& downstream_lb_ps, double ceiling_ps,
     TimingUndo* undo) {
+  return propagate(config, gate, downstream_lb_ps.data(), ceiling_ps, undo);
+}
+
+double TimingState::propagate(const sim::CircuitConfig& config, int gate,
+                              const double* downstream_lb_ps, double ceiling_ps,
+                              TimingUndo* undo) {
   // Margin between the abort test and the caller's feasibility test. The
   // bound chain is exact in real arithmetic; the margin only has to absorb
   // double rounding across a few thousand adds/maxes (~1e-10 ps on
@@ -394,24 +384,27 @@ double TimingState::update_after_gate_change_bounded(
   constexpr double kAbortMarginPs = 1e-3;
 
   // Topo ranks are a permutation of the gates, so visiting pending ranks
-  // in ascending order reproduces update_after_gate_change's processing
-  // order exactly. Pending ranks live in a bitmap (member scratch -- this
+  // in ascending order re-evaluates each affected gate once, after all its
+  // fanins settled. Pending ranks live in a bitmap (member scratch -- this
   // runs thousands of times per leaf): pop = clear the lowest set bit at or
   // after the cursor, push = set a bit, which also dedups for free. Every
   // sink's rank exceeds its driver's, so pushes always land at or ahead of
-  // the cursor word and nothing is ever missed. Word-scanning the cone's
-  // rank range costs ~range/64 loads, replacing O(log n) heap churn per
-  // visit. Both exits leave the bitmap all-zero for the next call.
+  // the cursor word and nothing is ever missed; the scan stops at the
+  // highest word a push reached, so a scan costs ~(cone's rank range)/64
+  // loads.
   const std::vector<int>& rank_to_gate = netlist_->topological_order();
   const std::size_t num_words =
       (static_cast<std::size_t>(netlist_->num_gates()) + 63) / 64;
   if (pending_bits_.size() != num_words) pending_bits_.assign(num_words, 0);
+  const std::size_t first_entry = undo != nullptr ? undo->entries.size() : 0;
 
   const std::uint32_t start_rank =
       static_cast<std::uint32_t>(topo_rank_[static_cast<std::size_t>(gate)]);
-  pending_bits_[start_rank >> 6] |= std::uint64_t{1} << (start_rank & 63);
+  std::size_t word = start_rank >> 6;
+  std::size_t last_word = word;
+  pending_bits_[word] |= std::uint64_t{1} << (start_rank & 63);
 
-  for (std::size_t word = start_rank >> 6; word < num_words;) {
+  while (word <= last_word) {
     const std::uint64_t bits = pending_bits_[word];
     if (bits == 0) {
       ++word;
@@ -425,19 +418,47 @@ double TimingState::update_after_gate_change_bounded(
     // `g` popped with all fanins settled, so its arrival is final for this
     // update; adding the optimistic downstream remainder lower-bounds the
     // eventual circuit delay.
-    if (std::max(sig_[out].at_rise, sig_[out].at_fall) + downstream_lb_ps[out] >
-        ceiling_ps + kAbortMarginPs) {
-      // Unvisited pending ranks all sit at or beyond the cursor word.
+    if (downstream_lb_ps != nullptr &&
+        std::max(sig_[out].at_rise, sig_[out].at_fall) + downstream_lb_ps[out] >
+            ceiling_ps + kAbortMarginPs) {
+      // Unvisited pending ranks all sit in [word, last_word].
       std::fill(pending_bits_.begin() + static_cast<std::ptrdiff_t>(word),
-                pending_bits_.end(), std::uint64_t{0});
+                pending_bits_.begin() + static_cast<std::ptrdiff_t>(last_word) + 1,
+                std::uint64_t{0});
+      mark_all_dirty();
       return 1e300;
     }
     for (std::uint32_t i = sink_offset_[out]; i < sink_offset_[out + 1]; ++i) {
       const std::uint32_t r = sink_rank_[i];
       pending_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
+      last_word = std::max<std::size_t>(last_word, r >> 6);
     }
   }
+  // Dirty blocks come from the undo entries this update appended, not from
+  // a hook in recompute_gate, which would tax every re-evaluation.
+  if (undo != nullptr) {
+    mark_dirty(*undo, first_entry);
+  } else {
+    mark_all_dirty();
+  }
   return circuit_delay_ps();
+}
+
+void TimingState::mark_dirty(const TimingUndo& undo, std::size_t first) {
+  for (std::size_t i = first; i < undo.entries.size(); ++i) {
+    const std::int32_t block = obs_block_[static_cast<std::size_t>(undo.entries[i].signal)];
+    if (block >= 0) {
+      dirty_blocks_[static_cast<std::size_t>(block) >> 6] |= std::uint64_t{1} << (block & 63);
+    }
+  }
+}
+
+void TimingState::mark_all_dirty() {
+  std::fill(dirty_blocks_.begin(), dirty_blocks_.end(), ~std::uint64_t{0});
+  // Keep bits past the last block clear: circuit_delay_ps() visits set bits.
+  if (const std::size_t tail = block_max_.size() & 63; tail != 0) {
+    dirty_blocks_.back() = (std::uint64_t{1} << tail) - 1;
+  }
 }
 
 void TimingState::snapshot(TimingSnapshot& out) const { out.signals = sig_; }
@@ -447,20 +468,32 @@ void TimingState::restore(const TimingSnapshot& snap) {
     throw ContractError("TimingState::restore: snapshot size mismatch");
   }
   sig_ = snap.signals;
+  mark_all_dirty();
 }
 
 void TimingState::revert(const TimingUndo& undo) {
   for (auto it = undo.entries.rbegin(); it != undo.entries.rend(); ++it) {
     sig_[static_cast<std::size_t>(it->signal)] = it->prev;
   }
+  mark_dirty(undo, 0);
 }
 
 double TimingState::circuit_delay_ps() const {
-  double worst = 0.0;
-  for (int s : netlist_->observe_points()) {
-    const SignalTiming& t = sig_[static_cast<std::size_t>(s)];
-    worst = std::max({worst, t.at_rise, t.at_fall});
+  for (std::size_t w = 0; w < dirty_blocks_.size(); ++w) {
+    for (std::uint64_t bits = dirty_blocks_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t block = (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::size_t end = std::min(obs_signals_.size(), (block + 1) << 6);
+      double worst = 0.0;
+      for (std::size_t i = block << 6; i < end; ++i) {
+        const SignalTiming& t = sig_[obs_signals_[i]];
+        worst = std::max({worst, t.at_rise, t.at_fall});
+      }
+      block_max_[block] = worst;
+    }
+    dirty_blocks_[w] = 0;
   }
+  double worst = 0.0;
+  for (double m : block_max_) worst = std::max(worst, m);
   return worst;
 }
 

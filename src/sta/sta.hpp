@@ -9,7 +9,10 @@
 // The optimizer leans on `update_after_gate_change`: an incremental forward
 // re-propagation from a single swapped gate with an undo log, which is the
 // paper's "incremental computation of the delay ... as the search traverses
-// through the gate tree".
+// through the gate tree". Both update forms run one propagation loop (the
+// bounded form adds an abort test), and neither rescans every observe point
+// afterwards: the circuit delay is kept per block of observe points (see
+// circuit_delay_ps).
 #pragma once
 
 #include <cstdint>
@@ -111,6 +114,8 @@ struct BoundaryTiming {
 };
 
 /// Mutable timing state of one netlist under a circuit configuration.
+/// Single-owner: not safe for concurrent use, not even by readers only,
+/// because circuit_delay_ps() refreshes cached block maxima.
 class TimingState {
  public:
   explicit TimingState(const netlist::Netlist& netlist);
@@ -144,7 +149,9 @@ class TimingState {
   /// as after a completed update. When no abort triggers, the result -- and
   /// every touched signal -- is bit-identical to the unbounded update, so
   /// any caller that reverts whenever the returned delay is above
-  /// `ceiling_ps` observes identical behavior either way.
+  /// `ceiling_ps` observes identical behavior either way. After an abort
+  /// the state is half-propagated: circuit_delay_ps() and the per-signal
+  /// queries are valid again once the caller has reverted `undo`.
   double update_after_gate_change_bounded(const sim::CircuitConfig& config, int gate,
                                           const std::vector<double>& downstream_lb_ps,
                                           double ceiling_ps, TimingUndo* undo);
@@ -168,7 +175,15 @@ class TimingState {
   /// taken.
   void restore(const TimingSnapshot& snap);
 
-  /// Worst arrival over all primary outputs [ps].
+  /// Worst arrival over all observe points [ps] (0 when there are none).
+  /// The distinct observe points are split into blocks of 64, each with a
+  /// cached worst arrival, plus a bitmap of dirty blocks. This call
+  /// rescans only the dirty blocks, then takes the max over the block
+  /// maxima; max is exact, so the result is bit-identical to one linear
+  /// scan. A completed update marks the blocks of the signals its undo
+  /// entries record (every block when `undo` is null), revert() marks the
+  /// signals it restores, and analyze(), restore() and an aborted bounded
+  /// update mark every block.
   double circuit_delay_ps() const;
 
   double arrival_rise_ps(int signal) const { return sig_.at(signal).at_rise; }
@@ -195,6 +210,17 @@ class TimingState {
   /// Recomputes `gate`'s output timing; returns true if anything changed.
   bool recompute_gate(const sim::CircuitConfig& config, int gate, TimingUndo* undo);
 
+  /// The one propagation loop behind both update forms: re-evaluates the
+  /// fanout cone of `gate` in ascending topological rank. With a non-null
+  /// `downstream_lb_ps` it aborts (returning 1e300) as soon as a settled
+  /// arrival plus its bound exceeds `ceiling_ps`; with null it never does.
+  double propagate(const sim::CircuitConfig& config, int gate,
+                   const double* downstream_lb_ps, double ceiling_ps, TimingUndo* undo);
+
+  /// Marks the block of every observed signal among `undo.entries[first..)`.
+  void mark_dirty(const TimingUndo& undo, std::size_t first);
+  void mark_all_dirty();
+
   const netlist::Netlist* netlist_;
   const netlist::FlatNetlist* flat_;  ///< SoA view; hot loops read this.
   const LoadSlicedTables* slices_ = nullptr;  ///< Optional, caller-owned.
@@ -211,15 +237,18 @@ class TimingState {
   std::vector<std::uint32_t> sink_rank_;
   /// Per-gate slice rows, cached from slices_ (empty when detached).
   std::vector<LoadSlicedTables::GateView> slice_views_;
-  /// Scratch of update_after_gate_change_bounded: pending topo ranks as a
-  /// bitmap (bit r = rank r queued). Popping the lowest set bit visits the
-  /// cone in ascending rank -- the exact order of the rank min-heap it
-  /// replaces -- and both exits leave the bitmap all-zero for the next call.
+  /// Scratch of propagate(): pending topo ranks as a bitmap (bit r = rank
+  /// r queued). Both exits leave it all-zero for the next call.
   std::vector<std::uint64_t> pending_bits_;
-  /// Scratch of update_after_gate_change: queued flag per gate, reused
-  /// across calls (every pop clears its flag, so the vector is all-false
-  /// again when the heap drains -- no per-call allocation).
-  std::vector<bool> queued_;
+  // Block-max circuit delay. obs_signals_ holds the distinct observe
+  // points in ascending signal id; block b is obs_signals_[64b .. 64b+64).
+  // obs_block_[s] is the block of signal s, or -1 when s is not observed.
+  // block_max_[b] is block b's worst arrival unless bit b of dirty_blocks_
+  // is set; circuit_delay_ps() refreshes the dirty ones, hence mutable.
+  std::vector<std::uint32_t> obs_signals_;
+  std::vector<std::int32_t> obs_block_;
+  mutable std::vector<double> block_max_;
+  mutable std::vector<std::uint64_t> dirty_blocks_;
 };
 
 /// Per-signal lower bound [ps] on the combinational delay from the signal

@@ -363,7 +363,8 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     // leakage savings instead -- throw it away and redo the whole
     // per-gate assignment globally at the stitched sleep state
     // (assign_gates_greedy, the same polynomial pass flat Heu1 runs per
-    // leaf; exact, but minutes of work at 500k gates).
+    // leaf; exact, and serial: 0.4-0.5 s on a 32k-gate circuit with
+    // 256 inputs, on one core of a 4-vCPU x86 VM).
     sim::CircuitConfig local = config;
     int local_resets = 0;
     const double local_delay = repair_delay(netlist, out.constraint_ps, local,

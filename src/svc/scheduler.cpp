@@ -629,8 +629,9 @@ void Scheduler::execute(WorkerState& state, JobRecord& record) {
                                &record.cancel,
                                options_.dist_poll_interval_s,
                                /*queued_grace_s=*/5.0,
-                               options_.dist_steal_after_s};
-        dist.adopted = &jobs_adopted_;
+                               options_.dist_steal_after_s,
+                               /*ledger_path=*/{},
+                               &jobs_adopted_};
         if (!options_.checkpoint_dir.empty()) {
           // Content-addressed failover journal: any resubmission of the
           // same coordinator job (this daemon restarted, or a peer that

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "netlist/benchmarks.hpp"
 #include "netlist/generators.hpp"
 #include "opt/state_search.hpp"
 #include "sim/leakage_eval.hpp"
@@ -75,6 +78,69 @@ TEST(Problem, InputOrderIsAPermutation) {
     EXPECT_FALSE(seen[static_cast<std::size_t>(i)]);
     seen[static_cast<std::size_t>(i)] = true;
   }
+}
+
+/// Oracle for transitive_fanout_gate_counts: one DFS per control point
+/// over Netlist::sinks(), with its own visited marks.
+std::vector<int> dfs_fanout_counts(const netlist::Netlist& n) {
+  std::vector<int> counts;
+  for (int cp : n.control_points()) {
+    std::vector<bool> reached(static_cast<std::size_t>(n.num_gates()), false);
+    std::vector<int> stack;
+    int count = 0;
+    auto push_sinks = [&](int signal) {
+      for (const netlist::Sink& sink : n.sinks(signal)) {
+        if (!reached[static_cast<std::size_t>(sink.gate)]) {
+          reached[static_cast<std::size_t>(sink.gate)] = true;
+          stack.push_back(sink.gate);
+        }
+      }
+    };
+    push_sinks(cp);
+    while (!stack.empty()) {
+      const int g = stack.back();
+      stack.pop_back();
+      ++count;
+      push_sinks(n.gate(g).output);
+    }
+    counts.push_back(count);
+  }
+  return counts;
+}
+
+void expect_input_order_matches_dfs(const netlist::Netlist& n) {
+  const std::vector<int> expected = dfs_fanout_counts(n);
+  ASSERT_EQ(transitive_fanout_gate_counts(n.flat()), expected) << n.name();
+  std::vector<int> order(expected.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return expected[static_cast<std::size_t>(a)] > expected[static_cast<std::size_t>(b)];
+  });
+  EXPECT_EQ(AssignmentProblem(n, 0.05).input_order(), order) << n.name();
+}
+
+TEST(Problem, InputOrderMatchesDfsOracleOnSuite) {
+  for (const netlist::BenchmarkSpec& spec : netlist::benchmark_suite()) {
+    expect_input_order_matches_dfs(netlist::make_benchmark(spec.name, lib()));
+  }
+}
+
+TEST(Problem, InputOrderMatchesDfsOracleOnLargeDag) {
+  // 256 control points: four 64-point words, the size of the global
+  // problem the hierarchical flow builds on a 32k-gate circuit.
+  netlist::DagOptions options;
+  options.num_inputs = 256;
+  options.num_gates = 32768;
+  options.target_depth = 40;
+  options.seed = 15;
+  expect_input_order_matches_dfs(netlist::random_dag(lib(), "dag32k", options));
+}
+
+TEST(Problem, InputOrderMatchesDfsOracleWithFlipFlops) {
+  // Control points past the primary inputs (flip-flop outputs), and a
+  // count that is not a multiple of 64.
+  expect_input_order_matches_dfs(
+      netlist::sequential_pipeline(lib(), "pipe", 24, 4, 120, 17));
 }
 
 TEST(GreedyAssign, RespectsDelayConstraint) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -262,6 +263,176 @@ TEST(Sta, BoundedUpdateMatchesPlainWhenNoAbort) {
     }
     break;  // one abort exercise is enough; the loop just finds a covered gate
   }
+}
+
+/// Oracle for circuit_delay_ps(): the linear scan over every observe point.
+double scan_delay_ps(const netlist::Netlist& n, const TimingState& timing) {
+  double worst = 0.0;
+  for (int s : n.observe_points()) {
+    worst = std::max({worst, timing.arrival_rise_ps(s), timing.arrival_fall_ps(s)});
+  }
+  return worst;
+}
+
+/// `num_gates` random INV/NAND2/NOR2 gates over 8 inputs. Every gate
+/// output is observed (sinks included), so the distinct observe points
+/// equal the gate count; the first one is marked twice.
+netlist::Netlist observed_everywhere(int num_gates, std::uint64_t seed) {
+  netlist::Netlist n("obs" + std::to_string(num_gates), &lib());
+  Rng rng(seed);
+  std::vector<int> signals;
+  for (int i = 0; i < 8; ++i) {
+    signals.push_back(n.add_signal("i" + std::to_string(i)));
+    n.mark_input(signals.back());
+  }
+  auto pick = [&] {
+    // Mostly recent signals, for depth.
+    const std::size_t window = std::min<std::size_t>(signals.size(), 40);
+    return signals[signals.size() - 1 - rng.next_below(window)];
+  };
+  for (int g = 0; g < num_gates; ++g) {
+    const int out = n.add_signal("n" + std::to_string(g));
+    const std::uint64_t kind = rng.next_below(3);
+    if (kind == 0) {
+      n.add_gate("g" + std::to_string(g), "INV", {pick()}, out);
+    } else {
+      const int a = pick();
+      int b = pick();
+      if (b == a) b = signals[rng.next_below(signals.size())];
+      if (b == a) b = signals.front() == a ? signals.back() : signals.front();
+      n.add_gate("g" + std::to_string(g), kind == 1 ? "NAND2" : "NOR2", {a, b}, out);
+    }
+    n.mark_output(out);
+    signals.push_back(out);
+  }
+  n.mark_output(signals[8]);
+  n.finalize();
+  return n;
+}
+
+std::size_t distinct_observe_points(const netlist::Netlist& n) {
+  std::vector<int> points = n.observe_points();
+  std::sort(points.begin(), points.end());
+  return static_cast<std::size_t>(std::unique(points.begin(), points.end()) - points.begin());
+}
+
+/// Seeded random walk over every operation that moves timing: bounded
+/// updates (some aborting), unbounded updates, null-undo updates, reverts,
+/// snapshot/restore and analyze. After each step the cached circuit delay
+/// must equal the linear scan bit for bit.
+void check_incremental_delay(const netlist::Netlist& n, std::uint64_t seed) {
+  const std::vector<double> down_lb = downstream_delay_lower_bounds_ps(n);
+  sim::CircuitConfig config = sim::fastest_config(n);
+  TimingState timing(n);
+  const double analyzed = timing.analyze(config);
+  EXPECT_EQ(analyzed, scan_delay_ps(n, timing));
+
+  struct Step {
+    TimingUndo undo;
+    int gate;
+    int old_variant;
+  };
+  std::vector<Step> stack;  // reverts are LIFO
+  TimingSnapshot snap;
+  sim::CircuitConfig snap_config = config;
+  timing.snapshot(snap);
+
+  Rng rng(seed);
+  auto change_random_gate = [&](Step& step) {
+    step.gate = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n.num_gates())));
+    sim::GateConfig& gc = config[static_cast<std::size_t>(step.gate)];
+    step.old_variant = gc.variant;
+    gc.variant = static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(n.cell_of(step.gate).num_variants())));
+  };
+  auto undo_step = [&](const Step& step) {
+    timing.revert(step.undo);
+    config[static_cast<std::size_t>(step.gate)].variant = step.old_variant;
+  };
+
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 35) {
+      // Bounded, with a ceiling around the current delay: some abort.
+      const double ceiling =
+          timing.circuit_delay_ps() * (0.97 + 0.06 * rng.next_double());
+      Step step;
+      change_random_gate(step);
+      const double d =
+          timing.update_after_gate_change_bounded(config, step.gate, down_lb, ceiling, &step.undo);
+      if (d == 1e300) {
+        undo_step(step);  // the caller contract: revert an aborted update
+      } else {
+        EXPECT_EQ(d, scan_delay_ps(n, timing)) << "bounded step " << i;
+        stack.push_back(std::move(step));
+      }
+    } else if (op < 60) {
+      Step step;
+      change_random_gate(step);
+      const double d = timing.update_after_gate_change(config, step.gate, &step.undo);
+      EXPECT_EQ(d, scan_delay_ps(n, timing)) << "unbounded step " << i;
+      TimingState fresh(n);
+      EXPECT_EQ(fresh.analyze(config), d) << "unbounded step " << i;
+      for (int s = 0; s < n.num_signals(); ++s) {
+        ASSERT_EQ(timing.arrival_rise_ps(s), fresh.arrival_rise_ps(s)) << "signal " << s;
+        ASSERT_EQ(timing.arrival_fall_ps(s), fresh.arrival_fall_ps(s)) << "signal " << s;
+        ASSERT_EQ(timing.slew_rise_ps(s), fresh.slew_rise_ps(s)) << "signal " << s;
+        ASSERT_EQ(timing.slew_fall_ps(s), fresh.slew_fall_ps(s)) << "signal " << s;
+      }
+      stack.push_back(std::move(step));
+    } else if (op < 70) {
+      // No undo log: nothing earlier can be reverted past this point.
+      Step step;
+      change_random_gate(step);
+      const double d = timing.update_after_gate_change(config, step.gate, nullptr);
+      EXPECT_EQ(d, scan_delay_ps(n, timing)) << "null-undo step " << i;
+      stack.clear();
+    } else if (op < 88) {
+      if (!stack.empty()) {
+        undo_step(stack.back());
+        stack.pop_back();
+      }
+    } else if (op < 93) {
+      timing.snapshot(snap);
+      snap_config = config;
+    } else if (op < 97) {
+      timing.restore(snap);
+      config = snap_config;
+      stack.clear();
+    } else {
+      const double d = timing.analyze(config);
+      EXPECT_EQ(d, scan_delay_ps(n, timing)) << "analyze step " << i;
+      stack.clear();
+    }
+    ASSERT_EQ(timing.circuit_delay_ps(), scan_delay_ps(n, timing)) << "step " << i;
+  }
+}
+
+TEST(Sta, IncrementalDelayMatchesScanFewObservePoints) {
+  const auto n = netlist::random_circuit(lib(), "sta_few", 14, 120, 71);
+  ASSERT_LE(distinct_observe_points(n), 64u);
+  check_incremental_delay(n, 71);
+}
+
+TEST(Sta, IncrementalDelayMatchesScanManyObservePoints) {
+  const auto n = observed_everywhere(300, 73);
+  ASSERT_GT(distinct_observe_points(n), 64u);
+  ASSERT_GT(n.observe_points().size(), distinct_observe_points(n));  // one marked twice
+  check_incremental_delay(n, 73);
+}
+
+TEST(Sta, IncrementalDelayMatchesScanOverFourThousandObservePoints) {
+  // More than 64 blocks, so the dirty-block bitmap spans several words.
+  const auto n = observed_everywhere(4200, 79);
+  ASSERT_GT(distinct_observe_points(n), 4096u);
+  check_incremental_delay(n, 79);
+}
+
+TEST(Sta, IncrementalDelayMatchesScanWithFlipFlops) {
+  // Observe points include flip-flop D inputs after the primary outputs.
+  const auto n = netlist::sequential_pipeline(lib(), "sta_pipe", 16, 3, 90, 83);
+  ASSERT_GT(n.num_flip_flops(), 0);
+  check_incremental_delay(n, 83);
 }
 
 TEST(DelayBudget, EndpointsAndInterpolation) {
