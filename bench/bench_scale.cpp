@@ -405,8 +405,6 @@ int main(int argc, char** argv) {
     row.set("delay_ps", hr.solution.delay_ps);
     row.set("constraint_ps", hr.constraint_ps);
     row.set("repaired_gates", hr.repaired_gates);
-    row.set("refine_passes", hr.refine_passes_run);
-    row.set("refine_accepted", hr.refine_accepted);
     row.set("peak_rss_mib", rss);
     hier_rows.push_back(std::move(row));
   }
@@ -431,7 +429,7 @@ int main(int argc, char** argv) {
         "-> %+.1f%% (ratio %.4f)\n",
         hier.solution.leakage_na / 1e3, hier.runtime_s, flat.leakage_na / 1e3,
         flat_s, gap, ratio);
-    // The quality gate of the boundary-aware sweep + stitch-refine flow:
+    // The quality gate of the boundary-aware sweep + stitch decision:
     // the same assertion `svtox hier --compare-flat --max-gap` enforces.
     const double max_gap = bench::env_double("SVTOX_SCALE_MAX_GAP", 1.10);
     if (ratio > max_gap) {
@@ -449,8 +447,6 @@ int main(int argc, char** argv) {
     row.set("hier_s", hier.runtime_s);
     row.set("hier_levels", hier.levels);
     row.set("hier_repaired_gates", hier.repaired_gates);
-    row.set("refine_passes", hier.refine_passes_run);
-    row.set("refine_accepted", hier.refine_accepted);
     row.set("flat_leakage_ua", flat.leakage_na / 1e3);
     row.set("flat_s", flat_s);
     row.set("gap_percent", gap);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -22,53 +20,6 @@
 namespace svtox::svc {
 
 namespace {
-
-/// Applies the stitched config's delay repair: from-scratch STA, then
-/// critical-path gates reset to their fastest identity-mapped version
-/// until the constraint holds. Returns the final delay. When
-/// `max_resets` >= 0 the loop gives up as soon as it has reset more gates
-/// than that (callers probing whether a *cheap* repair exists bail out
-/// instead of paying the full walk just to discard it).
-double repair_delay(const netlist::Netlist& netlist, double constraint_ps,
-                    sim::CircuitConfig& config, int& repaired_gates,
-                    int max_resets = -1) {
-  sta::TimingState timing(netlist);
-  double delay = timing.analyze(config);
-  if (delay <= constraint_ps) return delay;
-  const sim::CircuitConfig fastest = sim::fastest_config(netlist);
-  const int reset_budget = max_resets >= 0 ? repaired_gates + max_resets
-                                           : std::numeric_limits<int>::max();
-  for (int round = 0; delay > constraint_ps; ++round) {
-    if (repaired_gates > reset_budget) return delay;
-    bool changed = false;
-    if (round < 256) {
-      for (int g : timing.critical_path(config)) {
-        sim::GateConfig& gc = config[static_cast<std::size_t>(g)];
-        const sim::GateConfig& fast = fastest[static_cast<std::size_t>(g)];
-        if (gc.variant != fast.variant || !gc.mapping.logical_to_physical.empty()) {
-          gc = fast;
-          ++repaired_gates;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) {
-      // The critical path is already all-fast (a slew interaction off the
-      // backtracked path) or the loop is taking too long: fall back to the
-      // all-fast configuration, which meets any constraint >= fast delay.
-      for (std::size_t g = 0; g < config.size(); ++g) {
-        if (config[g].variant != fastest[g].variant ||
-            !config[g].mapping.logical_to_physical.empty()) {
-          config[g] = fastest[g];
-          ++repaired_gates;
-        }
-      }
-      return timing.analyze(config);
-    }
-    delay = timing.analyze(config);
-  }
-  return delay;
-}
 
 /// Parses one cone job's result against the exact netlist the job was
 /// solved on (read_bench of the same text with the content-hash name, so
@@ -90,16 +41,6 @@ opt::Solution parse_cone_solution(const netlist::Netlist& netlist,
     throw ContractError("optimize_hierarchical: cone solution shape mismatch");
   }
   return sub;
-}
-
-/// One gate's exact leakage term [nA] under a full-signal valuation --
-/// the same table lookup circuit_leakage_from_values_na sums, so
-/// per-partition sums of this term are exact leakage contributions.
-double gate_leakage_na(const netlist::Netlist& netlist,
-                       const std::vector<bool>& values, int gate,
-                       const sim::GateConfig& gc) {
-  return netlist.cell_of(gate).leakage_na(
-      gc.variant, gc.physical_state(sim::local_state(netlist, values, gate)));
 }
 
 /// The "arrival:slew,..." boundary-timing string for one cone: measured
@@ -206,8 +147,7 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     JobSpec spec;
     spec.bench_text = texts[p];
     spec.method = options.method;
-    spec.penalty_percent =
-        options.penalty_fraction * options.cone_penalty_scale * 100.0;
+    spec.penalty_percent = options.penalty_fraction * 100.0;
     spec.time_limit_s = options.time_limit_s;
     spec.random_vectors = options.random_vectors;
     spec.seed = options.seed;
@@ -226,12 +166,11 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
 
   std::vector<bool> sleep(static_cast<std::size_t>(netlist.num_control_points()),
                           false);
-  // First-voter partition per control point (-1 = unvoted). The refine
-  // loop frees exactly the points a partition owns when re-solving it.
-  std::vector<int> voter(sleep.size(), -1);
+  // Control points already decided by an earlier (first) voter.
+  std::vector<bool> voted(sleep.size(), false);
   sim::CircuitConfig config = sim::fastest_config(netlist);
   std::vector<bool> values;          // Global valuation, refreshed per batch.
-  sta::TimingState timing(netlist);  // Reused across batches and refine passes.
+  sta::TimingState timing(netlist);  // Reused across batches and the stitch.
 
   // Boundary-timing seeds come from a full STA of the stitched-so-far
   // config. Re-analyzing at every level would cost levels * O(netlist) --
@@ -288,7 +227,7 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
             any = true;
           } else {
             const int cp = cp_index[static_cast<std::size_t>(f)];
-            if (cp >= 0 && voter[static_cast<std::size_t>(cp)] >= 0) {
+            if (cp >= 0 && voted[static_cast<std::size_t>(cp)]) {
               pins[j] = sleep[static_cast<std::size_t>(cp)] ? '1' : '0';
               any = true;
             }
@@ -312,8 +251,8 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
         const int cp = cp_index[static_cast<std::size_t>(part.boundary_inputs[j])];
         // Boundary inputs driven by other partitions carry no vote: the
         // real circuit determines them.
-        if (cp < 0 || voter[static_cast<std::size_t>(cp)] >= 0) continue;
-        voter[static_cast<std::size_t>(cp)] = static_cast<int>(p);
+        if (cp < 0 || voted[static_cast<std::size_t>(cp)]) continue;
+        voted[static_cast<std::size_t>(cp)] = true;
         sleep[static_cast<std::size_t>(cp)] = sub.sleep_vector[j];
       }
       for (std::size_t k = 0; k < part.gates.size(); ++k) {
@@ -323,173 +262,32 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     }
   }
 
-  // When a stitched config misses the global constraint (per-cone budgets
-  // do not compose exactly even with seeded boundary timing), the cone
-  // gate assignments are redone *globally* at the stitched sleep state
-  // with the same greedy gate-tree pass flat Heu1 runs per leaf -- a
-  // polynomial pass under the true constraint, instead of resetting
-  // critical-path gates to their fastest (worst-leakage) variants. The
-  // exponential part -- the sleep state -- keeps its hierarchical
-  // solution either way. Built lazily: circuits whose stitch composes
-  // (the common case at scale) never pay for the global problem.
-  std::unique_ptr<opt::AssignmentProblem> global_problem;
-  auto global_reassign = [&](const std::vector<bool>& state,
-                             sim::CircuitConfig& cfg, int& changed) {
-    if (global_problem == nullptr) {
-      global_problem = std::make_unique<opt::AssignmentProblem>(
-          netlist, options.penalty_fraction);
-    }
-    opt::Solution re = opt::assign_gates_greedy(*global_problem, state);
-    for (std::size_t g = 0; g < cfg.size(); ++g) {
-      if (cfg[g].variant != re.config[g].variant ||
-          cfg[g].mapping.logical_to_physical !=
-              re.config[g].mapping.logical_to_physical) {
-        ++changed;
-      }
-    }
-    cfg = std::move(re.config);
-    return re.delay_ps;
-  };
-
-  // Exact global evaluation of the stitched assignment: full simulation
-  // for the leakage, full STA for the delay.
-  double delay = timing.analyze(config);
-  if (delay > out.constraint_ps) {
-    // Cheap local repair first: walk the critical path resetting gates to
-    // their fastest version. The boundary-aware sweep usually leaves the
-    // stitched config close to feasible, so a handful of resets fixes the
-    // violation at negligible leakage cost and O(rounds) STA time. A
-    // repair that needs more than ~0.5% of the gates is destroying real
-    // leakage savings instead -- throw it away and redo the whole
-    // per-gate assignment globally at the stitched sleep state
-    // (assign_gates_greedy, the same polynomial pass flat Heu1 runs per
-    // leaf; exact, and serial: 0.4-0.5 s on a 32k-gate circuit with
-    // 256 inputs, on one core of a 4-vCPU x86 VM).
-    sim::CircuitConfig local = config;
-    int local_resets = 0;
-    const double local_delay = repair_delay(netlist, out.constraint_ps, local,
-                                            local_resets,
-                                            netlist.num_gates() / 200);
-    if (local_delay <= out.constraint_ps) {
-      config = std::move(local);
-      out.repaired_gates += local_resets;
-      delay = local_delay;
-    } else {
-      delay = global_reassign(sleep, config, out.repaired_gates);
-    }
-  }
+  // --- Stitch decision -------------------------------------------------
+  // Per-cone delay budgets do not compose exactly, but once the sleep
+  // vector is fixed the gate assignment is polynomial, so one global
+  // greedy pass at the stitched sleep vector is always the second
+  // candidate (always feasible: it starts from all-fastest). The stitched
+  // config is kept only if it meets the global constraint and leaks
+  // strictly less. Both share the sleep vector, so one full simulation
+  // values both exactly.
   values = sim::simulate(netlist, sleep);
+  double delay = timing.analyze(config);
   double leakage = sim::circuit_leakage_from_values_na(netlist, config, values);
-
-  // --- Stitch-refine loop ----------------------------------------------
-  // Re-solve the worst partitions by exact leakage contribution in their
-  // full stitched context: driven boundaries pinned to their simulated
-  // values, control points first-voted by *other* partitions pinned to
-  // the decided bits, and the partition's own control points left free to
-  // re-vote now that the cone sees everything around it. Every candidate
-  // is evaluated exactly on the real circuit (fresh simulation, from-
-  // scratch STA, repair when the patched config misses the constraint)
-  // and kept only if the global exact leakage improves; the loop stops
-  // when a whole pass keeps nothing or the pass budget runs out.
-  for (int pass = 0; pass < options.refine_passes && options.refine_worst > 0;
-       ++pass) {
-    ++out.refine_passes_run;
-    std::vector<double> contrib(num_parts, 0.0);
-    for (int g = 0; g < netlist.num_gates(); ++g) {
-      contrib[static_cast<std::size_t>(part_of[static_cast<std::size_t>(g)])] +=
-          gate_leakage_na(netlist, values, g, config[static_cast<std::size_t>(g)]);
+  const opt::AssignmentProblem problem(netlist, options.penalty_fraction);
+  opt::Solution greedy = opt::assign_gates_greedy(problem, sleep);
+  const double greedy_leakage =
+      sim::circuit_leakage_from_values_na(netlist, greedy.config, values);
+  if (delay > out.constraint_ps || leakage >= greedy_leakage) {
+    for (std::size_t g = 0; g < config.size(); ++g) {
+      if (config[g].variant != greedy.config[g].variant ||
+          config[g].mapping.logical_to_physical !=
+              greedy.config[g].mapping.logical_to_physical) {
+        ++out.repaired_gates;
+      }
     }
-    std::vector<std::size_t> order(num_parts);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (contrib[a] != contrib[b]) return contrib[a] > contrib[b];
-      return a < b;  // deterministic tie-break by partition id
-    });
-    const std::size_t worst =
-        std::min<std::size_t>(static_cast<std::size_t>(options.refine_worst),
-                              num_parts);
-
-    if (options.seed_boundary_timing) timing.analyze(config);
-    std::vector<JobId> jobs;
-    jobs.reserve(worst);
-    for (std::size_t i = 0; i < worst; ++i) {
-      const std::size_t p = order[i];
-      const opt::Partition& part = partitions[p];
-      JobSpec spec = base_spec(p);
-      std::string pins(part.boundary_inputs.size(), 'x');
-      bool any = false;
-      for (std::size_t j = 0; j < part.boundary_inputs.size(); ++j) {
-        const int f = part.boundary_inputs[j];
-        const int cp = cp_index[static_cast<std::size_t>(f)];
-        if (cp < 0) {
-          pins[j] = values[static_cast<std::size_t>(f)] ? '1' : '0';
-          any = true;
-        } else if (voter[static_cast<std::size_t>(cp)] >= 0 &&
-                   voter[static_cast<std::size_t>(cp)] != static_cast<int>(p)) {
-          pins[j] = sleep[static_cast<std::size_t>(cp)] ? '1' : '0';
-          any = true;
-        }
-      }
-      if (any) spec.pinned_inputs = std::move(pins);
-      if (options.seed_boundary_timing) {
-        spec.boundary_timing = boundary_timing_string(part, netlist, timing);
-      }
-      jobs.push_back(scheduler.submit(spec));
-    }
-
-    // Candidates are evaluated and accepted in rank order (deterministic);
-    // an accepted candidate's state immediately becomes the baseline the
-    // next candidate must beat.
-    bool accepted_any = false;
-    for (std::size_t i = 0; i < worst; ++i) {
-      const std::size_t p = order[i];
-      const opt::Partition& part = partitions[p];
-      const opt::Solution sub =
-          parse_cone_solution(netlist, texts[p], part, scheduler.wait(jobs[i]));
-      out.solution.states_explored += sub.states_explored;
-
-      std::vector<bool> trial_sleep = sleep;
-      for (std::size_t j = 0; j < part.boundary_inputs.size(); ++j) {
-        const int cp = cp_index[static_cast<std::size_t>(part.boundary_inputs[j])];
-        if (cp >= 0 && voter[static_cast<std::size_t>(cp)] == static_cast<int>(p)) {
-          trial_sleep[static_cast<std::size_t>(cp)] = sub.sleep_vector[j];
-        }
-      }
-      sim::CircuitConfig trial = config;
-      for (std::size_t k = 0; k < part.gates.size(); ++k) {
-        trial[static_cast<std::size_t>(part.gates[k])] = sub.config[k];
-      }
-      // Leakage first, delay second: a candidate that does not improve the
-      // leakage even *before* any delay repair is rejected without paying
-      // for an STA (repairs only trade leakage for delay, never the other
-      // way), which keeps a no-progress refine pass at simulation cost.
-      const std::vector<bool> trial_values = sim::simulate(netlist, trial_sleep);
-      double trial_leakage =
-          sim::circuit_leakage_from_values_na(netlist, trial, trial_values);
-      if (trial_leakage >= leakage) continue;
-      int trial_repaired = 0;
-      double trial_delay = timing.analyze(trial);
-      if (trial_delay > out.constraint_ps) {
-        // The cheap local repair, not a global re-assignment: an
-        // over-repaired trial simply fails the exact leakage check below,
-        // and a no-progress pass stays at simulation + repair cost even
-        // on the largest circuits.
-        trial_delay =
-            repair_delay(netlist, out.constraint_ps, trial, trial_repaired);
-        trial_leakage =
-            sim::circuit_leakage_from_values_na(netlist, trial, trial_values);
-        if (trial_leakage >= leakage) continue;
-      }
-      sleep = std::move(trial_sleep);
-      config = std::move(trial);
-      values = trial_values;
-      leakage = trial_leakage;
-      delay = trial_delay;
-      out.repaired_gates += trial_repaired;
-      ++out.refine_accepted;
-      accepted_any = true;
-    }
-    if (!accepted_any) break;
+    config = std::move(greedy.config);
+    leakage = greedy_leakage;
+    delay = timing.analyze(config);  // from-scratch verify of the choice
   }
 
   const SchedulerStats stats = scheduler.stats();

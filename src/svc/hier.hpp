@@ -1,5 +1,5 @@
 // Hierarchical standby optimization: partition -> boundary-aware level
-// sweep -> stitch -> refine.
+// sweep -> stitch -> global greedy candidate -> verify.
 //
 // Scales the paper's method to 100k..1M-gate circuits where the flat state
 // tree is out of reach. The circuit is cut into gate-budgeted clusters
@@ -21,29 +21,25 @@
 // instead of a free-boundary relaxation. Same-level cones still run in parallel; both
 // context strings are part of the cone's cache key, so hits stay sound.
 //
-// The stitch reconciles the remaining choices on the real circuit:
+// The stitch assembles one candidate on the real circuit:
 //  * sleep bits: votes over the global control points in ascending
 //    partition-id order within each level (deterministic under any worker
 //    count), remaining points forced to 0;
 //  * gate configs: copied per gate from the cone solutions (cells and pin
 //    order are preserved by the canonical cone text, so variants and pin
-//    mappings transfer verbatim);
-//  * leakage: a full 2-valued simulation of the stitched sleep vector,
-//    then exact table evaluation -- no cone-level approximation survives
-//    into the reported number;
-//  * delay: a full STA of the stitched config against the *global*
-//    constraint, with a repair loop that walks the critical path resetting
-//    gates to their fastest variant until the constraint holds (it must:
-//    the all-fast configuration meets any constraint with penalty >= 0).
+//    mappings transfer verbatim).
 //
-// A stitch-refine loop then re-solves the K partitions with the largest
-// exact leakage contribution, this time with *every* boundary input pinned
-// (control points to their voted sleep bits, driven boundaries to their
-// simulated values) -- the sleep vector and hence all signal values stay
-// fixed, so per-partition contributions are independent and only the delay
-// couples globally. A pass is accepted only if the exact global leakage
-// improves after re-repair; the loop stops when a pass fails to improve or
-// the pass budget is exhausted.
+// The cones are what the exponential part -- the sleep vector -- needs.
+// Once it is fixed, the gate assignment is the paper's polynomial
+// gate-tree descent, so one global opt::assign_gates_greedy pass at the
+// stitched sleep vector is always the second candidate. It starts from
+// all-fastest and so always meets the constraint. The stitched config is
+// kept only if it meets the *global* constraint (full from-scratch STA)
+// and leaks strictly less; otherwise the greedy config is kept and
+// confirmed by one from-scratch STA. Leakage of both candidates is a full
+// 2-valued simulation of the stitched sleep vector plus exact table
+// evaluation -- no cone-level approximation survives into the reported
+// number.
 #pragma once
 
 #include <cstdint>
@@ -60,13 +56,9 @@ struct HierOptions {
   opt::PartitionOptions partition;
   /// Per-cone method: state|vtstate|heu1|heu2|exact.
   std::string method = "heu1";
+  /// Global delay penalty; each cone is solved at this fraction of its
+  /// own fast/slow spread.
   double penalty_fraction = 0.05;
-  /// Slack apportionment: each cone is solved at
-  /// `penalty_fraction * cone_penalty_scale` of its own fast/slow spread.
-  /// Local budgets do not compose exactly into the global one (boundary
-  /// arrivals and slews are not modeled), so a value < 1 leaves headroom
-  /// and trades a little per-cone leakage for far fewer repair resets.
-  double cone_penalty_scale = 1.0;
   /// Scheduler worker threads (0 = all hardware threads).
   int workers = 0;
   /// Per-cone search budget (heu2/state-only; heu1 ignores it).
@@ -90,11 +82,6 @@ struct HierOptions {
   /// Seed each cone's boundary inputs with the measured upstream
   /// arrival/slew from the global STA of the stitched-so-far config.
   bool seed_boundary_timing = true;
-  /// Stitch-refine budget: up to this many passes re-solve the
-  /// `refine_worst` partitions with the largest exact leakage
-  /// contribution, all boundaries pinned. 0 disables refinement.
-  int refine_passes = 2;
-  int refine_worst = 8;
 };
 
 struct HierResult {
@@ -106,21 +93,20 @@ struct HierResult {
   int partitions = 0;
   std::uint64_t unique_solves = 0;  ///< Cone jobs actually executed.
   std::uint64_t cache_hits = 0;     ///< Cone jobs served from the cache.
-  int repaired_gates = 0;  ///< Gates changed by the stitched-config delay
-                           ///< repair: critical-path fastest-resets, or
-                           ///< config diffs when the local repair would
-                           ///< reset > ~0.5% of the gates and the global
-                           ///< greedy re-assignment fallback runs instead.
-  int levels = 0;               ///< Depth of the partition DAG sweep.
-  int refine_passes_run = 0;    ///< Refine passes executed (incl. a final
-                                ///< non-improving one, if any).
-  int refine_accepted = 0;      ///< Partition re-solves that improved and
-                                ///< were kept across accepted passes.
+  int repaired_gates = 0;  ///< Gates whose config differs between the
+                           ///< stitched config and the global greedy
+                           ///< candidate when the greedy one is kept;
+                           ///< 0 when the stitch is kept.
+  int levels = 0;          ///< Depth of the partition DAG sweep.
+  /// Always 0 (the flow has no refine loop); kept for the perfbench
+  /// `hier.refine_*` counters, which read them.
+  int refine_passes_run = 0;
+  int refine_accepted = 0;
   double runtime_s = 0.0;
 };
 
 /// Runs the hierarchical flow on `netlist`. The result's delay respects
-/// the global constraint (verified by a from-scratch STA on the stitched
+/// the global constraint (verified by a from-scratch STA on the chosen
 /// assignment). Throws on cone-job failures and invalid options.
 HierResult optimize_hierarchical(const netlist::Netlist& netlist,
                                  const HierOptions& options = {});

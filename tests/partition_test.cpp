@@ -204,7 +204,6 @@ TEST(Hierarchical, DedupsIdenticalConesToOneSolve) {
   // cache collapses them to a single solve.
   options.pin_boundaries = false;
   options.seed_boundary_timing = false;
-  options.refine_passes = 0;
   const svc::HierResult legacy = svc::optimize_hierarchical(n, options);
   EXPECT_EQ(legacy.partitions, 2);
   EXPECT_EQ(legacy.unique_solves, 1u);
@@ -212,16 +211,14 @@ TEST(Hierarchical, DedupsIdenticalConesToOneSolve) {
   EXPECT_LE(legacy.solution.delay_ps, legacy.constraint_ps);
 
   // Boundary-aware default flow: both twins sit at level 0 so the sweep
-  // jobs keep the historical context-free key (1 solve + 1 hit), and the
-  // refine pass re-submits both under identical pinned/seeded context
-  // (one more solve + hit). Dedup must survive the context-keyed cache.
+  // jobs keep the historical context-free key, and the cache still
+  // collapses them to 1 solve + 1 hit.
   options.pin_boundaries = true;
   options.seed_boundary_timing = true;
-  options.refine_passes = 2;
   const svc::HierResult hr = svc::optimize_hierarchical(n, options);
   EXPECT_EQ(hr.partitions, 2);
-  EXPECT_EQ(hr.unique_solves, 2u);
-  EXPECT_EQ(hr.cache_hits, 2u);
+  EXPECT_EQ(hr.unique_solves, 1u);
+  EXPECT_EQ(hr.cache_hits, 1u);
   EXPECT_LE(hr.solution.delay_ps, hr.constraint_ps);
 }
 

@@ -21,7 +21,7 @@
 //   svtox hier       (--bench file.bench | --circuit NAME | --scale PRESET)
 //                    [--penalty PCT] [--method heu1|heu2|state|vtstate]
 //                    [--max-gates N] [--threads N] [--cache-dir DIR]
-//                    [--time-limit SEC] [--refine-passes N] [--refine-worst K]
+//                    [--time-limit SEC]
 //                    [--no-pin-boundaries] [--no-seed-boundary]
 //                    [--compare-flat] [--max-gap RATIO] [-o solution.txt]
 //   svtox verify     (--bench file.bench | --circuit NAME) --solution FILE
@@ -41,8 +41,7 @@
 // and `--compare-flat` also runs flat Heu1 and prints the leakage gap.
 // `--no-pin-boundaries` / `--no-seed-boundary` disable the boundary-aware
 // level sweep's pins and timing seeds (the legacy free-boundary
-// relaxation), `--refine-passes` / `--refine-worst` budget the
-// stitch-refine loop, and `--max-gap RATIO` (with `--compare-flat`) exits
+// relaxation), and `--max-gap RATIO` (with `--compare-flat`) exits
 // with code 4 when hier/flat leakage exceeds RATIO -- the quality gate CI
 // and bench_scale run.
 //
@@ -148,9 +147,9 @@ const std::map<std::string, std::set<std::string>>& allowed_options() {
       {"cmd", {"socket", "tcp", "json", "timeout"}},
       {"hier",
        {"bench", "circuit", "scale", "penalty", "method", "max-gates", "threads",
-        "cache-dir", "time-limit", "compare-flat", "max-gap", "refine-passes",
-        "refine-worst", "no-pin-boundaries", "no-seed-boundary", "output",
-        "two-point", "uniform-stack", "vt-only", "nitrided"}},
+        "cache-dir", "time-limit", "compare-flat", "max-gap", "no-pin-boundaries",
+        "no-seed-boundary", "output", "two-point", "uniform-stack", "vt-only",
+        "nitrided"}},
       {"verify",
        {"bench", "circuit", "solution", "two-point", "uniform-stack", "vt-only",
         "nitrided"}},
@@ -384,8 +383,6 @@ int cmd_hier(const Args& args) {
   options.vt_only = args.has("vt-only");
   options.pin_boundaries = !args.has("no-pin-boundaries");
   options.seed_boundary_timing = !args.has("no-seed-boundary");
-  options.refine_passes = static_cast<int>(parse_double(args.get("refine-passes", "2")));
-  options.refine_worst = static_cast<int>(parse_double(args.get("refine-worst", "8")));
   if (args.has("max-gap") && !args.has("compare-flat")) {
     std::fprintf(stderr, "--max-gap requires --compare-flat\n");
     return 2;
@@ -395,11 +392,9 @@ int cmd_hier(const Args& args) {
   std::printf("%s: %d gates, %d partitions (max %d gates each, %d levels)\n",
               circuit.name().c_str(), circuit.num_gates(), hr.partitions,
               options.partition.max_gates, hr.levels);
-  std::printf("cone jobs: %llu solved, %llu from cache; refine: %d passes, "
-              "%d re-solves kept\n",
+  std::printf("cone jobs: %llu solved, %llu from cache\n",
               static_cast<unsigned long long>(hr.unique_solves),
-              static_cast<unsigned long long>(hr.cache_hits),
-              hr.refine_passes_run, hr.refine_accepted);
+              static_cast<unsigned long long>(hr.cache_hits));
   std::printf("hier %s: %.3f uA, delay %.0f ps (constraint %.0f ps, "
               "%d gates repaired), %s\n",
               options.method.c_str(), hr.solution.leakage_na / 1e3,
