@@ -82,6 +82,13 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   if (options.method == "average") {
     throw ContractError("optimize_hierarchical: per-cone method must produce a solution");
   }
+  if (options.method == "vtstate") {
+    // The global gate pass runs over the library `netlist` is bound to;
+    // vtstate would solve its cones on a dual-Vt twin of it instead.
+    throw ContractError(
+        "optimize_hierarchical: vtstate is not supported; run heu2 on a "
+        "dual-Vt library (vt_only) for the Vt+state baseline");
+  }
 
   HierResult out;
   out.budget = sta::compute_delay_budget(netlist);
@@ -262,22 +269,15 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     }
   }
 
-  // --- Stitch decision -------------------------------------------------
+  // --- Global gate assignment ------------------------------------------
   // Per-cone delay budgets do not compose exactly, but once the sleep
-  // vector is fixed the gate assignment is polynomial, so one global
-  // greedy pass at the stitched sleep vector is always the second
-  // candidate (always feasible: it starts from all-fastest). The stitched
-  // config is kept only if it meets the global constraint and leaks
-  // strictly less. Both share the sleep vector, so one full simulation
-  // values both exactly.
-  values = sim::simulate(netlist, sleep);
-  double delay = timing.analyze(config);
-  double leakage = sim::circuit_leakage_from_values_na(netlist, config, values);
-  const opt::AssignmentProblem problem(netlist, options.penalty_fraction);
-  opt::Solution greedy = opt::assign_gates_greedy(problem, sleep);
-  const double greedy_leakage =
-      sim::circuit_leakage_from_values_na(netlist, greedy.config, values);
-  if (delay > out.constraint_ps || leakage >= greedy_leakage) {
+  // vector is fixed the gate assignment is polynomial: one global greedy
+  // pass at the stitched sleep vector settles the gates (always feasible:
+  // it starts from all-fastest). The state-only baseline assigns no gates;
+  // its cones return all-fastest configs, so the stitch is kept as is.
+  if (options.method != "state") {
+    const opt::AssignmentProblem problem(netlist, options.penalty_fraction);
+    opt::Solution greedy = opt::assign_gates_greedy(problem, sleep);
     for (std::size_t g = 0; g < config.size(); ++g) {
       if (config[g].variant != greedy.config[g].variant ||
           config[g].mapping.logical_to_physical !=
@@ -286,9 +286,10 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
       }
     }
     config = std::move(greedy.config);
-    leakage = greedy_leakage;
-    delay = timing.analyze(config);  // from-scratch verify of the choice
   }
+  const double delay = timing.analyze(config);  // from-scratch verify
+  const double leakage = sim::circuit_leakage_from_values_na(
+      netlist, config, sim::simulate(netlist, sleep));
 
   const SchedulerStats stats = scheduler.stats();
   out.unique_solves = stats.executed;

@@ -1,5 +1,5 @@
 // Hierarchical standby optimization: partition -> boundary-aware level
-// sweep -> stitch -> global greedy candidate -> verify.
+// sweep -> stitch -> global greedy pass -> verify.
 //
 // Scales the paper's method to 100k..1M-gate circuits where the flat state
 // tree is out of reach. The circuit is cut into gate-budgeted clusters
@@ -32,14 +32,14 @@
 // The cones are what the exponential part -- the sleep vector -- needs.
 // Once it is fixed, the gate assignment is the paper's polynomial
 // gate-tree descent, so one global opt::assign_gates_greedy pass at the
-// stitched sleep vector is always the second candidate. It starts from
-// all-fastest and so always meets the constraint. The stitched config is
-// kept only if it meets the *global* constraint (full from-scratch STA)
-// and leaks strictly less; otherwise the greedy config is kept and
-// confirmed by one from-scratch STA. Leakage of both candidates is a full
-// 2-valued simulation of the stitched sleep vector plus exact table
-// evaluation -- no cone-level approximation survives into the reported
-// number.
+// stitched sleep vector settles the gates. It starts from all-fastest and
+// so always meets the constraint; the cone gate configs only feed the
+// boundary-timing seeds of later levels. The state-only baseline assigns
+// no gates (its cones return all-fastest configs), so its stitch is kept
+// as is. The final config is confirmed by one from-scratch STA, and its
+// leakage is a full 2-valued simulation of the stitched sleep vector plus
+// exact table evaluation -- no cone-level approximation survives into the
+// reported number.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,9 @@ namespace svtox::svc {
 
 struct HierOptions {
   opt::PartitionOptions partition;
-  /// Per-cone method: state|vtstate|heu1|heu2|exact.
+  /// Per-cone method: state|heu1|heu2|exact. vtstate is rejected: the
+  /// global gate pass runs over the library `netlist` is bound to, so the
+  /// Vt+state baseline is heu2 with `vt_only`.
   std::string method = "heu1";
   /// Global delay penalty; each cone is solved at this fraction of its
   /// own fast/slow spread.
@@ -93,10 +95,9 @@ struct HierResult {
   int partitions = 0;
   std::uint64_t unique_solves = 0;  ///< Cone jobs actually executed.
   std::uint64_t cache_hits = 0;     ///< Cone jobs served from the cache.
-  int repaired_gates = 0;  ///< Gates whose config differs between the
-                           ///< stitched config and the global greedy
-                           ///< candidate when the greedy one is kept;
-                           ///< 0 when the stitch is kept.
+  int repaired_gates = 0;  ///< Gates whose config the global greedy
+                           ///< pass changed from the stitched one
+                           ///< (0 for state).
   int levels = 0;          ///< Depth of the partition DAG sweep.
   /// Always 0 (the flow has no refine loop); kept for the perfbench
   /// `hier.refine_*` counters, which read them.

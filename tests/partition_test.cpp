@@ -16,6 +16,7 @@
 #include "sim/sim.hpp"
 #include "sta/sta.hpp"
 #include "svc/hier.hpp"
+#include "util/error.hpp"
 
 namespace svtox {
 namespace {
@@ -175,6 +176,44 @@ TEST(Hierarchical, MeetsGlobalConstraintEndToEnd) {
   const sim::CircuitConfig all_fast = sim::fastest_config(n);
   EXPECT_LT(hr.solution.leakage_na,
             sim::circuit_leakage_from_values_na(n, all_fast, values));
+}
+
+TEST(Hierarchical, StateMethodKeepsAllFastestStitch) {
+  // The state-only baseline assigns no gates: its cones return all-fastest
+  // configs and the global greedy gate pass must not run over them, so the
+  // result is all-fastest at the stitched sleep vector.
+  const netlist::Netlist n = netlist::make_benchmark("c432", lib());
+  svc::HierOptions options;
+  options.method = "state";
+  options.partition.max_gates = 50;
+  options.workers = 2;
+  options.time_limit_s = 0.05;
+  options.random_vectors = 16;
+  const svc::HierResult hr = svc::optimize_hierarchical(n, options);
+
+  EXPECT_GT(hr.partitions, 1);
+  EXPECT_EQ(hr.repaired_gates, 0);
+  const sim::CircuitConfig all_fast = sim::fastest_config(n);
+  ASSERT_EQ(hr.solution.config.size(), all_fast.size());
+  for (std::size_t g = 0; g < all_fast.size(); ++g) {
+    EXPECT_EQ(hr.solution.config[g].variant, all_fast[g].variant) << "gate " << g;
+    EXPECT_EQ(hr.solution.config[g].mapping.logical_to_physical,
+              all_fast[g].mapping.logical_to_physical)
+        << "gate " << g;
+  }
+  const std::vector<bool> values = sim::simulate(n, hr.solution.sleep_vector);
+  EXPECT_DOUBLE_EQ(hr.solution.leakage_na,
+                   sim::circuit_leakage_from_values_na(n, all_fast, values));
+  EXPECT_DOUBLE_EQ(hr.solution.delay_ps, hr.budget.fast_delay_ps);
+}
+
+TEST(Hierarchical, RejectsVtStateMethod) {
+  // vtstate cones solve on a dual-Vt twin of the library; the global gate
+  // pass runs over the circuit's own library, so the flow refuses it.
+  const netlist::Netlist n = netlist::make_benchmark("c432", lib());
+  svc::HierOptions options;
+  options.method = "vtstate";
+  EXPECT_THROW(svc::optimize_hierarchical(n, options), ContractError);
 }
 
 TEST(Hierarchical, DedupsIdenticalConesToOneSolve) {

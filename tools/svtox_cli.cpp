@@ -19,7 +19,7 @@
 //   svtox cmd        (--socket PATH | --tcp HOST:PORT) --json '{"cmd":...}'
 //                    [--timeout SEC]
 //   svtox hier       (--bench file.bench | --circuit NAME | --scale PRESET)
-//                    [--penalty PCT] [--method heu1|heu2|state|vtstate]
+//                    [--penalty PCT] [--method heu1|heu2|exact|state]
 //                    [--max-gates N] [--threads N] [--cache-dir DIR]
 //                    [--time-limit SEC]
 //                    [--no-pin-boundaries] [--no-seed-boundary]
@@ -39,6 +39,8 @@
 // PRESET` builds one of the 10k..1M-gate generated circuits
 // (netlist::scale_circuit_names()), `--max-gates` caps the partition size
 // and `--compare-flat` also runs flat Heu1 and prints the leakage gap.
+// `--method vtstate` is rejected (the final global gate pass runs over the
+// circuit's own library); `--vt-only --method heu2` is the Vt+state baseline.
 // `--no-pin-boundaries` / `--no-seed-boundary` disable the boundary-aware
 // level sweep's pins and timing seeds (the legacy free-boundary
 // relaxation), and `--max-gap RATIO` (with `--compare-flat`) exits
