@@ -1,8 +1,5 @@
 #include "liberty/nldm.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "util/error.hpp"
 
 namespace svtox::liberty {
@@ -16,21 +13,6 @@ void check_axis(const std::vector<double>& axis, const char* what) {
       throw ContractError(std::string("NldmTable: non-ascending ") + what);
     }
   }
-}
-
-/// Finds the interpolation segment [i, i+1] for x and the fractional
-/// position within it; extrapolates linearly beyond the ends.
-struct Segment {
-  std::size_t lo;
-  double t;  ///< May be <0 or >1 when extrapolating.
-};
-
-Segment locate(const std::vector<double>& axis, double x) {
-  if (axis.size() == 1) return {0, 0.0};
-  std::size_t hi = 1;
-  while (hi + 1 < axis.size() && axis[hi] < x) ++hi;
-  const std::size_t lo = hi - 1;
-  return {lo, (x - axis[lo]) / (axis[hi] - axis[lo])};
 }
 
 }  // namespace
@@ -49,8 +31,8 @@ NldmTable::NldmTable(std::vector<double> slew_axis_ps, std::vector<double> load_
 
 double NldmTable::lookup(double slew_ps, double load_ff) const {
   if (empty()) throw ContractError("NldmTable::lookup on empty table");
-  const Segment s = locate(slew_axis_, slew_ps);
-  const Segment l = locate(load_axis_, load_ff);
+  const AxisSegment s = locate_segment(slew_axis_.data(), slew_axis_.size(), slew_ps);
+  const AxisSegment l = locate_segment(load_axis_.data(), load_axis_.size(), load_ff);
 
   auto value = [&](std::size_t si, std::size_t li) { return at(si, li); };
 
@@ -74,26 +56,17 @@ double NldmTable::lookup(double slew_ps, double load_ff) const {
   return lo + (hi - lo) * s.t;
 }
 
-NldmLoadSlice::NldmLoadSlice(const NldmTable& table, double load_ff)
-    : slew_axis_(table.slew_axis_ps()) {
-  if (table.empty()) throw ContractError("NldmLoadSlice: empty table");
-  const std::vector<double>& loads = table.load_axis_ff();
-  values_.resize(slew_axis_.size());
+void NldmTable::reduce_to_load(double load_ff, double* out) const {
+  if (empty()) throw ContractError("NldmTable::reduce_to_load on empty table");
+  const AxisSegment l = locate_segment(load_axis_.data(), load_axis_.size(), load_ff);
   for (std::size_t i = 0; i < slew_axis_.size(); ++i) {
-    if (loads.size() == 1) {
-      values_[i] = table.at(i, 0);
+    if (load_axis_.size() == 1) {
+      out[i] = at(i, 0);
     } else {
-      // The exact load-axis reduction lookup() performs per call.
-      const Segment l = locate(loads, load_ff);
-      const double v0 = table.at(i, l.lo);
-      const double v1 = table.at(i, l.lo + 1);
-      values_[i] = v0 + (v1 - v0) * l.t;
+      const double v0 = at(i, l.lo);
+      const double v1 = at(i, l.lo + 1);
+      out[i] = v0 + (v1 - v0) * l.t;
     }
-  }
-  // Pad the axis for lookup()'s SIMD segment search; +inf keeps it
-  // ascending, and locate_hi never selects a padded knot (hi <= size - 1).
-  if (slew_axis_.size() > 1 && slew_axis_.size() <= simd::kAxisPad) {
-    slew_axis_.resize(simd::kAxisPad, std::numeric_limits<double>::infinity());
   }
 }
 

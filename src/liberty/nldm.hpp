@@ -3,15 +3,48 @@
 // Exactly like a commercial .lib, timing is stored as a 2-D grid over
 // (input slew, output load) and interpolated bilinearly at query time. The
 // optimizer and STA consume only these tables -- they never see the
-// analytical delay model that characterized them.
+// analytical delay model that characterized them. The 1-D segment search
+// and lerp are exposed inline (locate_segment, interpolate) so the STA's
+// load-sliced rows (sta::LoadSlicedTables) reproduce lookup() bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "util/simd.hpp"
-
 namespace svtox::liberty {
+
+/// Interpolation segment [lo, lo + 1] of a query on one table axis and the
+/// fractional position within it (t < 0 or t > 1 when extrapolating).
+struct AxisSegment {
+  std::size_t lo = 0;
+  double t = 0.0;
+};
+
+/// Segment of `x` on an ascending axis of `knots` >= 1 entries: {0, 0} for a
+/// single knot, otherwise the segment whose upper knot is the first of
+/// axis[1 .. knots-2] at or above x (or the last knot), with
+/// t = (x - axis[lo]) / (axis[lo+1] - axis[lo]). The search counts the
+/// inner knots below x instead of scanning for the first one at or above:
+/// on an ascending axis the two agree, and the count has no early exit.
+/// NldmTable::lookup and the load-sliced STA tables both use it, so their
+/// lerps see the same (lo, t) bits.
+inline AxisSegment locate_segment(const double* axis, std::size_t knots, double x) {
+  if (knots == 1) return {};
+  std::size_t lo = 0;
+  for (std::size_t i = 1; i + 1 < knots; ++i) lo += axis[i] < x ? 1 : 0;
+  return {lo, (x - axis[lo]) / (axis[lo + 1] - axis[lo])};
+}
+
+/// `values` (one per knot) interpolated at `seg`: values[lo] + (values[lo+1]
+/// - values[lo]) * t, or values[0] for a single knot -- NldmTable::lookup's
+/// 1-D arithmetic.
+inline double interpolate(const double* values, std::size_t knots, AxisSegment seg) {
+  if (knots == 1) return values[0];
+  const double v0 = values[seg.lo];
+  const double v1 = values[seg.lo + 1];
+  return v0 + (v1 - v0) * seg.t;
+}
 
 /// A 2-D characterization table over input slew [ps] x output load [fF].
 class NldmTable {
@@ -38,6 +71,12 @@ class NldmTable {
 
   bool empty() const { return values_.empty(); }
 
+  /// Writes the table restricted to `load_ff` into out[0 .. slew knots):
+  /// each slew row reduced with exactly lookup()'s load-axis arithmetic,
+  /// so interpolate(out, knots, locate_segment(slew axis, knots, slew))
+  /// returns the same bits as lookup(slew, load_ff).
+  void reduce_to_load(double load_ff, double* out) const;
+
   /// Multiplies every table entry by `factor` (variant scaling).
   NldmTable scaled(double factor) const;
 
@@ -45,52 +84,6 @@ class NldmTable {
   std::vector<double> slew_axis_;
   std::vector<double> load_axis_;
   std::vector<double> values_;
-};
-
-/// A 1-D restriction of an NldmTable to one fixed output load.
-///
-/// lookup(slew, load) factors into a load-axis interpolation of each slew
-/// row followed by a slew-axis interpolation of the two reduced rows; a
-/// slice performs the load reduction once at construction with exactly the
-/// arithmetic lookup() applies per call, so lookup(slew) here returns the
-/// SAME BITS as table.lookup(slew, load) while skipping the load-axis
-/// locate, two of the three lerps and half the grid reads. Incremental STA
-/// uses slices because a gate instance's output load never changes.
-class NldmLoadSlice {
- public:
-  NldmLoadSlice() = default;
-
-  /// Restricts `table` (non-empty) to `load_ff`.
-  NldmLoadSlice(const NldmTable& table, double load_ff);
-
-  /// Bit-identical to table.lookup(slew_ps, load_ff) of the construction
-  /// arguments, including extrapolation outside the slew axis. Inline and
-  /// branch-light: this is the innermost operation of incremental STA.
-  double lookup(double slew_ps) const {
-    const std::size_t size = values_.size();
-    if (size == 1) return values_[0];
-    // Same segment search and lerp as NldmTable::lookup's slew axis. The
-    // axis is stored padded to simd::kAxisPad knots with +inf (when it
-    // fits), turning the scalar scan into one branch-free SIMD compare;
-    // simd::locate_hi is bit-identical to the scalar loop either way.
-    const double* axis = slew_axis_.data();
-    const std::size_t hi = slew_axis_.size() == simd::kAxisPad
-                               ? simd::locate_hi(axis, size, slew_ps)
-                               : simd::locate_hi_portable(axis, size, slew_ps);
-    const std::size_t lo = hi - 1;
-    const double t = (slew_ps - axis[lo]) / (axis[hi] - axis[lo]);
-    const double v0 = values_[lo];
-    const double v1 = values_[lo + 1];
-    return v0 + (v1 - v0) * t;
-  }
-
-  bool empty() const { return values_.empty(); }
-
- private:
-  /// The slew axis, padded to simd::kAxisPad entries with +inf when the
-  /// real knot count fits (values_.size() keeps the real count).
-  std::vector<double> slew_axis_;
-  std::vector<double> values_;  ///< Load-reduced value per slew knot.
 };
 
 /// Default characterization axes used by the library builder.

@@ -153,6 +153,7 @@ Solution assign_gates_greedy(const AssignmentProblem& problem,
   sta::TimingState timing(problem.netlist());
   timing.set_boundary(problem.boundary());
   timing.analyze(config);
+  timing.use_load_slices(&problem.load_slices());
   sta::TimingSnapshot baseline;
   timing.snapshot(baseline);
   Solution solution =
@@ -287,6 +288,7 @@ Solution assign_gates_exact(const AssignmentProblem& problem,
   sta::TimingState timing(problem.netlist());
   timing.set_boundary(problem.boundary());
   timing.analyze(config);
+  timing.use_load_slices(&problem.load_slices());
   sta::TimingSnapshot baseline;
   timing.snapshot(baseline);
   Solution solution = assign_gates_exact(problem, sleep_vector, max_nodes, contexts,

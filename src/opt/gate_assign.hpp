@@ -2,7 +2,8 @@
 // vector, under the circuit delay constraint.
 //
 // Each search comes in two forms: a from-scratch convenience function
-// (builds its contexts, timing state and starting configuration per call)
+// (builds its contexts, timing state and starting configuration per call,
+// and times its trials through the problem's shared load-sliced tables)
 // and an overload over caller-owned reusable state. The overloads exist so
 // a state-search worker (opt::LeafEvaluator) can amortize the
 // leaf-invariant setup -- full 2-valued simulation, canonicalization, a
@@ -65,10 +66,10 @@ Solution assign_gates_greedy(const AssignmentProblem& problem,
 /// overload.
 ///
 /// `downstream_lb_ps` (optional) is sta::downstream_delay_lower_bounds_ps
-/// of the problem's netlist: with it, infeasible variant trials abort their
-/// timing propagation as soon as the delay constraint is provably exceeded
-/// (sta::update_after_gate_change_bounded) instead of re-timing the whole
-/// fanout cone. The accept/reject decisions and every returned value stay
+/// of the problem's netlist, load slices and boundary: with it, infeasible
+/// variant trials abort their timing propagation as soon as the delay
+/// constraint is provably exceeded (sta::update_after_gate_change_bounded)
+/// instead of re-timing the whole fanout cone. The accept/reject decisions and every returned value stay
 /// bit-identical; only rejected trials get cheaper.
 Solution assign_gates_greedy(const AssignmentProblem& problem,
                              const std::vector<bool>& sleep_vector, GateOrder order,

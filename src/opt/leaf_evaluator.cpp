@@ -23,11 +23,13 @@ LeafEvaluator::LeafEvaluator(const AssignmentProblem& problem)
   timing_.analyze(config_);
   timing_.snapshot(baseline_);
   // Shared, leaf-invariant accelerators: the problem's load-sliced tables
-  // halve the per-lookup cost of incremental re-timing, and the downstream
-  // bounds let infeasible trials abort their propagation early. Both are
+  // cut the per-lookup cost of incremental re-timing, and the downstream
+  // bounds (read from the same slices, seeded with the problem's boundary
+  // slews) let infeasible trials abort their propagation early. Both are
   // bit-neutral to the results.
   timing_.use_load_slices(&problem.load_slices());
-  down_lb_ = sta::downstream_delay_lower_bounds_ps(netlist);
+  down_lb_ = sta::downstream_delay_lower_bounds_ps(netlist, problem.load_slices(),
+                                                   problem.boundary());
 }
 
 void LeafEvaluator::refresh_gate(int gate) {

@@ -19,11 +19,11 @@
 //    symmetric-pin mappings, so one analyze() serves every leaf);
 //  * the reusable config/timing buffers feed the reusable-state overloads
 //    of assign_gates_greedy / assign_gates_exact;
-//  * a per-signal downstream-delay lower bound (computed once; it depends
-//    only on the netlist and library) lets those searches abort the timing
-//    propagation of delay-infeasible variant trials early -- the dominant
-//    cost of a greedy leaf is re-timing the full fanout cone of trials
-//    that end up rejected and reverted.
+//  * a per-signal downstream-delay lower bound (computed once from the
+//    problem's load slices and boundary seeds) lets those searches abort
+//    the timing propagation of delay-infeasible variant trials early --
+//    the dominant cost of a greedy leaf is re-timing the full fanout cone
+//    of trials that end up rejected and reverted.
 //
 // Results are bit-identical to the from-scratch free functions; a property
 // test enforces this on random and bundled circuits.
@@ -81,7 +81,7 @@ class LeafEvaluator {
   sim::CircuitConfig fastest_config_;  ///< Identity mappings (state-only).
   sta::TimingState timing_;
   sta::TimingSnapshot baseline_;
-  /// sta::downstream_delay_lower_bounds_ps of the netlist; passed to the
+  /// sta::downstream_delay_lower_bounds_ps of the problem; passed to the
   /// gate-tree searches for early rejection of infeasible trials.
   std::vector<double> down_lb_;
   std::vector<int> changed_;  ///< Scratch for set_input reporting.

@@ -18,7 +18,7 @@ constexpr double kEpsPs = 1e-9;
 SignalTiming evaluate_gate(const netlist::Netlist& netlist, const sim::CircuitConfig& config,
                            int gate, const SignalTiming* sig,
                            const std::vector<double>& load_ff,
-                           const LoadSlicedTables::GateView* views, double delay_scale) {
+                           const LoadSlicedTables* slices, double delay_scale) {
   const netlist::FlatNetlist& flat = netlist.flat();
   const std::uint32_t* fanins = flat.fanins(static_cast<std::uint32_t>(gate));
   const std::uint32_t num_pins = flat.fanin_count(static_cast<std::uint32_t>(gate));
@@ -28,31 +28,42 @@ SignalTiming evaluate_gate(const netlist::Netlist& netlist, const sim::CircuitCo
   t.at_rise = -1e300;
   t.at_fall = -1e300;
 
-  if (views != nullptr) {
-    // 1-D fast path (incremental updates only, delay_scale == 1): the
-    // slices bake in the gate's output load, so every branch below returns
-    // the same bits as the 2-D lookups while skipping the load axis and
-    // the cell/variant indirection. The variant's slice row is hoisted out
-    // of the pin loop.
-    const LoadSlicedTables::GateView view = views[gate];
-    const LoadSlicedTables::PinSlices* row =
-        view.base + static_cast<std::size_t>(gc.variant) * view.pins;
+  if (slices != nullptr) {
+    // Sliced path (incremental updates only, delay_scale == 1): the rows
+    // bake in the gate's output load, so every branch below returns the
+    // same bits as the 2-D lookups. Each input edge locates its slew
+    // segment once and reuses (lo, t) for the delay row and, when that
+    // edge wins, the slew row.
+    const std::size_t knots = slices->knots();
+    const double* axis = slices->slew_axis();
+    const double* variant_rows = slices->arc_rows(gate, gc.variant, 0);
+    const std::size_t arc_stride = LoadSlicedTables::kRowsPerArc * knots;
     const std::vector<int>& map = gc.mapping.logical_to_physical;
     for (std::uint32_t pin = 0; pin < num_pins; ++pin) {
       const SignalTiming& in = sig[fanins[pin]];
-      const LoadSlicedTables::PinSlices& sl =
-          row[map.empty() ? pin : static_cast<std::uint32_t>(map[pin])];
+      const double* rows =
+          variant_rows +
+          (map.empty() ? pin : static_cast<std::size_t>(map[pin])) * arc_stride;
 
-      const double cand_rise = in.at_fall + sl.delay_rise.lookup(in.slew_fall);
+      // Inverting cell: output rise comes from input fall.
+      const liberty::AxisSegment fall_in = liberty::locate_segment(axis, knots, in.slew_fall);
+      const double cand_rise =
+          in.at_fall +
+          liberty::interpolate(rows + LoadSlicedTables::kDelayRise * knots, knots, fall_in);
       if (cand_rise > t.at_rise) {
         t.at_rise = cand_rise;
-        t.slew_rise = sl.slew_rise.lookup(in.slew_fall);
+        t.slew_rise =
+            liberty::interpolate(rows + LoadSlicedTables::kSlewRise * knots, knots, fall_in);
       }
 
-      const double cand_fall = in.at_rise + sl.delay_fall.lookup(in.slew_rise);
+      const liberty::AxisSegment rise_in = liberty::locate_segment(axis, knots, in.slew_rise);
+      const double cand_fall =
+          in.at_rise +
+          liberty::interpolate(rows + LoadSlicedTables::kDelayFall * knots, knots, rise_in);
       if (cand_fall > t.at_fall) {
         t.at_fall = cand_fall;
-        t.slew_fall = sl.slew_fall.lookup(in.slew_rise);
+        t.slew_fall =
+            liberty::interpolate(rows + LoadSlicedTables::kSlewFall * knots, knots, rise_in);
       }
     }
     return t;
@@ -89,52 +100,23 @@ SignalTiming evaluate_gate(const netlist::Netlist& netlist, const sim::CircuitCo
   return t;
 }
 
-/// Lower bound of `table.lookup(slew, load)` over every real slew at the
-/// fixed `load`. lookup() is piecewise linear in the slew axis with linear
-/// extrapolation from the outermost segments, so the infimum is attained
-/// either at a grid knot or along one of the two extrapolation tails,
-/// where a downward slope makes it unbounded below (-1e300).
-double table_lower_bound(const liberty::NldmTable& table, double load_ff) {
-  const std::vector<double>& slews = table.slew_axis_ps();
-  double lb = 1e300;
-  for (double s : slews) lb = std::min(lb, table.lookup(s, load_ff));
-  const double span = slews.back() - slews.front() + 1.0;
-  if (table.lookup(slews.front() - span, load_ff) < table.lookup(slews.front(), load_ff) ||
-      table.lookup(slews.back() + span, load_ff) < table.lookup(slews.back(), load_ff)) {
-    return -1e300;  // a tail slopes downward: unbounded below
+/// Lower bound of one slice row over every slew >= `min_slew`, with `seg`
+/// = the segment of `min_slew`. The row is piecewise linear in the slew
+/// with linear extrapolation from its end segments: nondecreasing knots
+/// make the exact lookup at `min_slew` the bound; otherwise the knot
+/// minimum bounds it unless an extrapolation tail falls away outward,
+/// which makes the row unbounded below (-1e300).
+double row_lower_bound(const double* row, std::size_t knots, liberty::AxisSegment seg) {
+  bool nondecreasing = true;
+  double knot_min = row[0];
+  for (std::size_t i = 1; i < knots; ++i) {
+    nondecreasing = nondecreasing && row[i] >= row[i - 1];
+    knot_min = std::min(knot_min, row[i]);
   }
-  return lb;
+  if (nondecreasing) return liberty::interpolate(row, knots, seg);
+  if (row[1] > row[0] || row[knots - 1] < row[knots - 2]) return -1e300;
+  return knot_min;
 }
-
-/// True when slew -> table.lookup(slew, load) is nondecreasing over the
-/// whole real line at this load: the knot values are nondecreasing and
-/// neither extrapolation tail slopes downward. Checked numerically because
-/// interpolating/extrapolating the load axis mixes grid columns.
-bool monotone_in_slew(const liberty::NldmTable& table, double load_ff) {
-  const std::vector<double>& slews = table.slew_axis_ps();
-  const double span = slews.back() - slews.front() + 1.0;
-  double prev = table.lookup(slews.front() - span, load_ff);
-  for (double s : slews) {
-    const double v = table.lookup(s, load_ff);
-    if (v < prev) return false;
-    prev = v;
-  }
-  return table.lookup(slews.back() + span, load_ff) >= prev;
-}
-
-/// One delay table of one (variant, pin, edge) with everything needed to
-/// bound lookup(s, load) over s >= min_slew: the exact lookup when the
-/// table is monotone at this load, a precomputed global minimum otherwise.
-struct BoundedTable {
-  const liberty::NldmTable* table;
-  double load_ff;
-  bool monotone;
-  double global_lb;
-
-  double lower_bound(double min_slew_ps) const {
-    return monotone ? table->lookup(min_slew_ps, load_ff) : global_lb;
-  }
-};
 
 }  // namespace
 
@@ -145,68 +127,83 @@ LoadSlicedTables::LoadSlicedTables(const netlist::Netlist& netlist) {
   gates_.resize(static_cast<std::size_t>(netlist.num_gates()));
   // Instances of the same cell driving the same load are indistinguishable
   // to the tables; dedup on (cell, load bit pattern).
-  std::map<std::pair<const liberty::LibCell*, std::uint64_t>, std::uint32_t> dedup;
+  std::map<std::pair<const liberty::LibCell*, std::uint64_t>, GateRef> dedup;
   for (int g = 0; g < netlist.num_gates(); ++g) {
     const liberty::LibCell& cell = netlist.cell_of(g);
     const double load = netlist.signal_load_ff(netlist.gate(g).output);
-    const std::size_t pins = cell.variants().empty()
-                                 ? 0
-                                 : cell.variants().front().pins.size();
-    const auto [it, inserted] = dedup.try_emplace(
-        {&cell, std::bit_cast<std::uint64_t>(load)},
-        static_cast<std::uint32_t>(blocks_.size()));
+    const auto [it, inserted] =
+        dedup.try_emplace({&cell, std::bit_cast<std::uint64_t>(load)}, GateRef{});
     if (inserted) {
-      std::vector<PinSlices> block;
-      block.reserve(cell.variants().size() * pins);
+      const std::size_t pins =
+          cell.variants().empty() ? 0 : cell.variants().front().pins.size();
+      GateRef& ref = it->second;
+      ref.offset = data_.size();
+      ref.pins = static_cast<std::uint32_t>(pins);
+      ref.arcs = static_cast<std::uint32_t>(cell.variants().size() * pins);
       for (const liberty::LibCellVariant& variant : cell.variants()) {
         if (variant.pins.size() != pins) {
           throw ContractError("LoadSlicedTables: ragged pin count across variants");
         }
         for (const liberty::PinTiming& pin : variant.pins) {
-          block.push_back({liberty::NldmLoadSlice(pin.delay_rise, load),
-                           liberty::NldmLoadSlice(pin.delay_fall, load),
-                           liberty::NldmLoadSlice(pin.slew_rise, load),
-                           liberty::NldmLoadSlice(pin.slew_fall, load)});
+          for (const liberty::NldmTable* table :
+               {&pin.delay_rise, &pin.slew_rise, &pin.delay_fall, &pin.slew_fall}) {
+            if (slew_axis_.empty()) {
+              slew_axis_ = table->slew_axis_ps();
+            } else if (table->slew_axis_ps() != slew_axis_) {
+              throw ContractError("LoadSlicedTables: tables do not share one slew axis");
+            }
+            data_.resize(data_.size() + slew_axis_.size());
+            table->reduce_to_load(load, data_.data() + data_.size() - slew_axis_.size());
+          }
         }
       }
-      blocks_.push_back(std::move(block));
     }
-    gates_[static_cast<std::size_t>(g)] = {it->second, static_cast<std::uint32_t>(pins)};
+    gates_[static_cast<std::size_t>(g)] = it->second;
   }
 }
 
-std::vector<double> downstream_delay_lower_bounds_ps(const netlist::Netlist& netlist) {
+std::vector<double> downstream_delay_lower_bounds_ps(const netlist::Netlist& netlist,
+                                                     const LoadSlicedTables& slices,
+                                                     const BoundaryTiming& boundary) {
   if (!netlist.finalized()) {
     throw ContractError("downstream_delay_lower_bounds_ps: netlist not finalized");
   }
+  if (!boundary.points.empty() &&
+      boundary.points.size() != static_cast<std::size_t>(netlist.num_control_points())) {
+    throw ContractError("downstream_delay_lower_bounds_ps: one point per control point");
+  }
   const int num_signals = netlist.num_signals();
+  const std::size_t knots = slices.knots();
+  const double* axis = slices.slew_axis();
 
   // Forward pass: min_slew[s] lower-bounds the slew of signal `s` under
-  // EVERY configuration. Primary-input slews are a library constant that
-  // analyze() applies regardless of config; a gate's output slew is some
-  // slew table's lookup at the winning input's slew, which (for monotone
-  // tables) is at least the lookup at that input's bound -- so the minimum
-  // over variants, physical pins and both edges at the minimum fanin bound
-  // covers whichever combination the configuration realizes.
+  // EVERY configuration. Control points get exactly the slew analyze()
+  // seeds them with, whatever the config; a gate's output slew is some
+  // slew row's lookup at the winning input's slew, which (for
+  // nondecreasing rows) is at least the lookup at that input's bound -- so
+  // the minimum over arcs and both edges at the minimum fanin bound covers
+  // whichever combination the configuration realizes.
   std::vector<double> min_slew(static_cast<std::size_t>(num_signals), 0.0);
   const double pi_slew = netlist.library().tech().default_pi_slew_ps;
-  for (int s : netlist.control_points()) min_slew[static_cast<std::size_t>(s)] = pi_slew;
+  const std::vector<int>& cps = netlist.control_points();
+  for (std::size_t i = 0; i < cps.size(); ++i) {
+    const double b = boundary.points.empty() ? 0.0 : boundary.points[i].slew_ps;
+    min_slew[static_cast<std::size_t>(cps[i])] = b > 0.0 ? b : pi_slew;
+  }
 
-  for (int g : netlist.topological_order()) {
+  const std::vector<int>& order = netlist.topological_order();
+  for (int g : order) {
     const netlist::Gate& gate = netlist.gate(g);
-    const double out_load = netlist.signal_load_ff(gate.output);
     double in_lb = 1e300;
     for (int fanin : gate.fanins) {
       in_lb = std::min(in_lb, min_slew[static_cast<std::size_t>(fanin)]);
     }
+    const liberty::AxisSegment seg = liberty::locate_segment(axis, knots, in_lb);
     double out_lb = 1e300;
-    for (const liberty::LibCellVariant& variant : netlist.cell_of(g).variants()) {
-      for (const liberty::PinTiming& pin : variant.pins) {
-        for (const liberty::NldmTable* table : {&pin.slew_rise, &pin.slew_fall}) {
-          out_lb = std::min(out_lb, monotone_in_slew(*table, out_load)
-                                        ? table->lookup(in_lb, out_load)
-                                        : table_lower_bound(*table, out_load));
-        }
+    for (std::size_t arc = 0; arc < slices.arcs(g); ++arc) {
+      const double* rows = slices.arc_rows(g, arc);
+      for (std::size_t row : {LoadSlicedTables::kSlewRise, LoadSlicedTables::kSlewFall}) {
+        out_lb = std::min(out_lb, row_lower_bound(rows + row * knots, knots, seg));
       }
     }
     min_slew[static_cast<std::size_t>(gate.output)] = std::max(out_lb, -1e300);
@@ -216,38 +213,27 @@ std::vector<double> downstream_delay_lower_bounds_ps(const netlist::Netlist& net
   // arrival at an observe point is at least the arrival at any signal `f`
   // plus the stage delays along ANY single downstream path (STA arrivals
   // are maxima over inputs), so taking the best-bounded path is sound:
-  // every stage contributes the minimum of its delay tables over variants,
-  // physical pins and both edges, evaluated at the entry signal's minimum
-  // slew (exact lookup for monotone tables, global table minimum
-  // otherwise), at the gate's actual output load.
+  // every stage contributes the minimum of its delay rows over arcs and
+  // both edges, bounded from the entry signal's minimum slew.
   std::vector<double> bound(static_cast<std::size_t>(num_signals), -1e300);
   for (int s : netlist.observe_points()) bound[static_cast<std::size_t>(s)] = 0.0;
 
-  std::vector<BoundedTable> tables;
-  const std::vector<int>& order = netlist.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const netlist::Gate& gate = netlist.gate(*it);
     const double out_bound = bound[static_cast<std::size_t>(gate.output)];
     if (out_bound == -1e300) continue;
 
-    const double out_load = netlist.signal_load_ff(gate.output);
-    tables.clear();
-    for (const liberty::LibCellVariant& variant : netlist.cell_of(*it).variants()) {
-      for (const liberty::PinTiming& pin : variant.pins) {
-        for (const liberty::NldmTable* table : {&pin.delay_rise, &pin.delay_fall}) {
-          tables.push_back({table, out_load, monotone_in_slew(*table, out_load),
-                            table_lower_bound(*table, out_load)});
+    for (int fanin : gate.fanins) {
+      const liberty::AxisSegment seg =
+          liberty::locate_segment(axis, knots, min_slew[static_cast<std::size_t>(fanin)]);
+      double stage_lb = 1e300;
+      for (std::size_t arc = 0; arc < slices.arcs(*it); ++arc) {
+        const double* rows = slices.arc_rows(*it, arc);
+        for (std::size_t row : {LoadSlicedTables::kDelayRise, LoadSlicedTables::kDelayFall}) {
+          stage_lb = std::min(stage_lb, row_lower_bound(rows + row * knots, knots, seg));
         }
       }
-    }
-
-    for (int fanin : gate.fanins) {
-      double stage_lb = 1e300;
-      for (const BoundedTable& t : tables) {
-        stage_lb = std::min(stage_lb,
-                            t.lower_bound(min_slew[static_cast<std::size_t>(fanin)]));
-      }
-      if (stage_lb == -1e300) continue;  // degenerate tables: no usable bound
+      if (stage_lb == -1e300) continue;  // degenerate rows: no usable bound
       bound[static_cast<std::size_t>(fanin)] =
           std::max(bound[static_cast<std::size_t>(fanin)], stage_lb + out_bound);
     }
@@ -305,16 +291,6 @@ void TimingState::set_boundary(const BoundaryTiming& boundary) {
   boundary_ = boundary;
 }
 
-void TimingState::use_load_slices(const LoadSlicedTables* slices) {
-  slices_ = slices;
-  slice_views_.clear();
-  if (slices == nullptr) return;
-  slice_views_.reserve(static_cast<std::size_t>(netlist_->num_gates()));
-  for (int g = 0; g < netlist_->num_gates(); ++g) {
-    slice_views_.push_back(slices->gate_view(g));
-  }
-}
-
 double TimingState::analyze(const sim::CircuitConfig& config, double delay_scale) {
   if (config.size() != static_cast<std::size_t>(netlist_->num_gates())) {
     throw ContractError("TimingState::analyze: config size mismatch");
@@ -342,9 +318,8 @@ double TimingState::analyze(const sim::CircuitConfig& config, double delay_scale
 
 bool TimingState::recompute_gate(const sim::CircuitConfig& config, int gate,
                                  TimingUndo* undo) {
-  const SignalTiming t = evaluate_gate(
-      *netlist_, config, gate, sig_.data(), load_ff_,
-      slice_views_.empty() ? nullptr : slice_views_.data(), 1.0);
+  const SignalTiming t =
+      evaluate_gate(*netlist_, config, gate, sig_.data(), load_ff_, slices_, 1.0);
   const std::size_t out = static_cast<std::size_t>(gate_out_[static_cast<std::size_t>(gate)]);
   SignalTiming& cur = sig_[out];
   if (std::abs(t.at_rise - cur.at_rise) < kEpsPs &&

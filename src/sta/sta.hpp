@@ -12,12 +12,17 @@
 // through the gate tree". Both update forms run one propagation loop (the
 // bounded form adds an abort test), and neither rescans every observe point
 // afterwards: the circuit delay is kept per block of observe points (see
-// circuit_delay_ps).
+// circuit_delay_ps). With LoadSlicedTables attached, an update reads each
+// arc from flat rows pre-reduced to the gate's load and locates the slew
+// segment once per input edge; the same rows feed the downstream delay
+// bounds of the bounded form.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "liberty/nldm.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/leakage_eval.hpp"
 
@@ -52,50 +57,60 @@ struct TimingSnapshot {
   bool empty() const { return signals.empty(); }
 };
 
-/// Load-sliced NLDM tables of a whole netlist: for every gate, every
-/// library variant and physical pin, the four timing tables restricted to
-/// the gate's actual output load (liberty::NldmLoadSlice). Loads are fixed
-/// per instance, so this depends only on the netlist + library; instances
-/// of the same cell driving the same load share one block. Attach to a
-/// TimingState (use_load_slices) to make incremental re-propagation skip
-/// the 2-D lookups -- results are bit-identical either way. Read-only
+/// Load-sliced NLDM tables of a whole netlist, in one flat array.
+///
+/// A gate instance's output load never changes, so each 2-D (slew, load)
+/// table can be reduced to a row over the slew axis once, with exactly the
+/// load-axis arithmetic NldmTable::lookup applies per call. Every table of
+/// the library shares one slew axis (Library::build and the .svlib reader
+/// guarantee it; the constructor checks it and throws ContractError
+/// otherwise), so the axis is stored once and any knot count >= 1 works.
+///
+/// Instances of the same cell driving the same load share one block: a
+/// contiguous run of doubles holding, for each (variant, physical pin) in
+/// variant-major order, four rows of knots() values each --
+/// [delay_rise | slew_rise | delay_fall | slew_fall]. A row interpolated at
+/// liberty::locate_segment(slew) returns the SAME BITS as the 2-D lookup
+/// at the gate's load. Depends only on the netlist + library; read-only
 /// after construction and safe to share across threads.
 class LoadSlicedTables {
  public:
   explicit LoadSlicedTables(const netlist::Netlist& netlist);
 
-  /// The four slices of one (variant, physical pin) of `gate`'s cell.
-  struct PinSlices {
-    liberty::NldmLoadSlice delay_rise, delay_fall, slew_rise, slew_fall;
-  };
+  /// Offsets of the four rows of one (variant, pin) arc, in rows.
+  enum Row : std::size_t { kDelayRise = 0, kSlewRise = 1, kDelayFall = 2, kSlewFall = 3 };
+  static constexpr std::size_t kRowsPerArc = 4;
 
-  const PinSlices& pin(int gate, int variant, int physical_pin) const {
+  /// Knots of the shared slew axis (0 only for a netlist without gates).
+  std::size_t knots() const { return slew_axis_.size(); }
+  const double* slew_axis() const { return slew_axis_.data(); }
+
+  /// Number of (variant, physical pin) arcs of `gate`'s cell.
+  std::size_t arcs(int gate) const { return gates_[static_cast<std::size_t>(gate)].arcs; }
+
+  /// The kRowsPerArc rows of arc `arc` (= variant * pins + physical pin) of
+  /// `gate`; row r starts at arc_rows(...) + r * knots().
+  const double* arc_rows(int gate, std::size_t arc) const {
     const GateRef& ref = gates_[static_cast<std::size_t>(gate)];
-    return blocks_[ref.block]
-                  [static_cast<std::size_t>(variant) * ref.pins +
-                   static_cast<std::size_t>(physical_pin)];
+    return data_.data() + ref.offset + arc * kRowsPerArc * slew_axis_.size();
   }
 
-  /// Flat view of one gate's block: slices of (variant v, physical pin p)
-  /// live at base[v * pins + p]. TimingState caches these per gate so the
-  /// hot path resolves a pin's slices with one indexed load instead of the
-  /// gates_/blocks_ double indirection.
-  struct GateView {
-    const PinSlices* base = nullptr;
-    std::uint32_t pins = 0;
-  };
-  GateView gate_view(int gate) const {
+  /// The rows of (variant, physical_pin) of `gate`'s cell.
+  const double* arc_rows(int gate, int variant, int physical_pin) const {
     const GateRef& ref = gates_[static_cast<std::size_t>(gate)];
-    return {blocks_[ref.block].data(), ref.pins};
+    return arc_rows(gate, static_cast<std::size_t>(variant) * ref.pins +
+                              static_cast<std::size_t>(physical_pin));
   }
 
  private:
   struct GateRef {
-    std::uint32_t block = 0;  ///< Index into blocks_.
-    std::uint32_t pins = 0;   ///< Pins per variant (block row stride).
+    std::size_t offset = 0;  ///< First double of the gate's block in data_.
+    std::uint32_t pins = 0;  ///< Physical pins per variant.
+    std::uint32_t arcs = 0;  ///< Variants x pins.
   };
-  std::vector<GateRef> gates_;                 ///< Per gate.
-  std::vector<std::vector<PinSlices>> blocks_;  ///< Per (cell, load), [variant*pins+pin].
+  std::vector<double> slew_axis_;
+  std::vector<GateRef> gates_;  ///< Per gate.
+  std::vector<double> data_;    ///< Every (cell, load) block, back to back.
 };
 
 /// Measured upstream timing at the control points, used to seed a cone's
@@ -158,10 +173,12 @@ class TimingState {
 
   /// Attaches load-sliced tables (caller-owned, must outlive this state;
   /// pass nullptr to detach). Incremental updates then evaluate gates
-  /// through the 1-D slices -- bit-identical results, roughly half the
-  /// lookup cost. The amortized leaf evaluators attach the problem's
-  /// shared slices; from-scratch evaluations run without them.
-  void use_load_slices(const LoadSlicedTables* slices);
+  /// through the slice rows, locating the slew segment once per (pin,
+  /// input edge) for both the delay and the slew row -- bit-identical
+  /// results at a fraction of the 2-D lookup cost. analyze() always uses
+  /// the 2-D tables (it takes a delay scale). Every gate-tree search
+  /// attaches the problem's shared slices after its analyze().
+  void use_load_slices(const LoadSlicedTables* slices) { slices_ = slices; }
 
   /// Restores the state recorded in `undo` (entries are replayed in
   /// reverse). The caller must revert in LIFO order w.r.t. updates.
@@ -235,8 +252,6 @@ class TimingState {
   // bounds-checked .at()) of Netlist::sinks().
   std::vector<std::uint32_t> sink_offset_;  // per signal, +1 sentinel
   std::vector<std::uint32_t> sink_rank_;
-  /// Per-gate slice rows, cached from slices_ (empty when detached).
-  std::vector<LoadSlicedTables::GateView> slice_views_;
   /// Scratch of propagate(): pending topo ranks as a bitmap (bit r = rank
   /// r queued). Both exits leave it all-zero for the next call.
   std::vector<std::uint64_t> pending_bits_;
@@ -253,14 +268,23 @@ class TimingState {
 
 /// Per-signal lower bound [ps] on the combinational delay from the signal
 /// to any observe point, valid for EVERY variant selection, pin mapping and
-/// input slew (each stage contributes the minimum of its delay tables over
-/// all variants, physical pins and the whole physical slew range, at the
-/// gate's actual output load). Signals that cannot reach an observe point
-/// get -infinity, so a bound test against them never triggers. The vector
-/// depends only on the netlist and library -- leaf searches compute it once
-/// and use it to reject delay-infeasible variant trials without propagating
-/// their full fanout cones (update_after_gate_change_bounded).
-std::vector<double> downstream_delay_lower_bounds_ps(const netlist::Netlist& netlist);
+/// input slew at or above the forward-propagated minimum slew (each stage
+/// contributes the minimum of its delay rows over all variants, physical
+/// pins and both edges). Signals that cannot reach an observe point get
+/// -1e300, so a bound test against them never triggers. The bounds are read
+/// from `slices` (built from `netlist`): a row whose knots are
+/// nondecreasing is bounded by its exact lookup at the minimum slew; any
+/// other row by its knot minimum, or -1e300 when an extrapolation tail
+/// falls away outward. Control points are seeded exactly as analyze()
+/// seeds them under `boundary` (its slew where positive, the library's
+/// primary-input slew otherwise), so the bound stays sound for cone
+/// problems whose boundary slews are sharper than the default. Leaf
+/// searches compute it once and use it to reject delay-infeasible variant
+/// trials without propagating their full fanout cones
+/// (update_after_gate_change_bounded).
+std::vector<double> downstream_delay_lower_bounds_ps(const netlist::Netlist& netlist,
+                                                     const LoadSlicedTables& slices,
+                                                     const BoundaryTiming& boundary);
 
 /// Delay budget arithmetic (paper Sec. 6): penalties are a percentage of
 /// the spread between the all-fast delay and the all-slow delay.

@@ -113,24 +113,6 @@ __attribute__((target("avx2"))) void select_add2_avx2(double* totals,
   }
 }
 
-__attribute__((target("avx2"))) std::size_t locate_hi_avx2(const double* padded_axis,
-                                                           std::size_t size,
-                                                           double x) {
-  static_assert(kAxisPad == 8, "locate_hi_avx2 assumes an 8-knot pad");
-  const __m256d vx = _mm256_set1_pd(x);
-  const __m256d lo = _mm256_loadu_pd(padded_axis);
-  const __m256d hi = _mm256_loadu_pd(padded_axis + 4);
-  const unsigned below =
-      static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(lo, vx, _CMP_LT_OQ))) |
-      (static_cast<unsigned>(
-           _mm256_movemask_pd(_mm256_cmp_pd(hi, vx, _CMP_LT_OQ)))
-       << 4);
-  // The scalar loop inspects knots [1, size - 2] only: knot 0 never moves
-  // `hi`, and the loop stops at size - 1 regardless of the last compare.
-  const unsigned allowed = (1u << (size - 1)) - 2u;
-  return 1 + static_cast<std::size_t>(__builtin_popcount(below & allowed));
-}
-
 #endif  // SVTOX_SIMD_X86
 
 }  // namespace
@@ -163,16 +145,6 @@ void select_add2(double* totals, std::uint64_t w0, std::uint64_t w1,
   fn(totals, w0, w1, leak);
 #else
   select_add2_portable(totals, w0, w1, leak);
-#endif
-}
-
-std::size_t locate_hi(const double* padded_axis, std::size_t size, double x) {
-#if SVTOX_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
-  static std::size_t (*const fn)(const double*, std::size_t, double) =
-      has_avx2() ? &locate_hi_avx2 : &locate_hi_portable;
-  return fn(padded_axis, size, x);
-#else
-  return locate_hi_portable(padded_axis, size, x);
 #endif
 }
 

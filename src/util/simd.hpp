@@ -1,7 +1,7 @@
 // Small SIMD kernels behind runtime dispatch.
 //
 // The packed simulation subsystem (sim/packed.hpp) does its heavy lifting
-// with portable std::uint64_t word ops; the two inner loops below are the
+// with portable std::uint64_t word ops; the inner loops below are the
 // only places that additionally benefit from explicit vector instructions:
 //
 //  * scatter_add -- "add `value` into totals[lane] for every set bit of
@@ -15,10 +15,6 @@
 //    costs one branchless sweep over the 64 lanes instead of one
 //    scatter_add per state. The AVX2 path selects the leak value with
 //    blendv chains keyed on per-lane bit tests.
-//  * locate_hi -- the ascending-axis segment search of the NLDM 1-D
-//    interpolation (liberty::NldmLoadSlice::lookup). The portable path is
-//    the historical scalar loop; the SIMD path turns it into a compare +
-//    popcount over an axis padded to kAxisPad knots.
 //
 // Every variant is bit-identical to its portable reference (the AVX2
 // scatter_add preserves untouched lanes exactly via blendv rather than
@@ -32,10 +28,6 @@
 #include <cstddef>
 
 namespace svtox::simd {
-
-/// Number of knots locate_hi expects its padded axis to hold. Axes shorter
-/// than this must be padded with +infinity (ascending order preserved).
-inline constexpr std::size_t kAxisPad = 8;
 
 /// True when the running CPU supports AVX2 and the build can emit it.
 /// Cached after the first call; always false on non-x86 targets.
@@ -82,19 +74,6 @@ inline void select_add2_portable(double* totals, std::uint64_t w0,
   for (int lane = 0; lane < 64; ++lane) {
     totals[lane] += leak[((w0 >> lane) & 1u) | (((w1 >> lane) & 1u) << 1)];
   }
-}
-
-/// Upper knot index of the interpolation segment for `x` on an ascending
-/// axis of `size` knots (2 <= size <= kAxisPad), padded to kAxisPad entries
-/// with +infinity. Bit-identical to the scalar loop
-///   hi = 1; while (hi + 1 < size && axis[hi] < x) ++hi;
-std::size_t locate_hi(const double* padded_axis, std::size_t size, double x);
-
-/// Portable reference for locate_hi (exposed for tests and benches).
-inline std::size_t locate_hi_portable(const double* axis, std::size_t size, double x) {
-  std::size_t hi = 1;
-  while (hi + 1 < size && axis[hi] < x) ++hi;
-  return hi;
 }
 
 }  // namespace svtox::simd

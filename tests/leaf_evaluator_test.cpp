@@ -220,6 +220,32 @@ TEST(LeafEvaluator, StateOnlyIsBitIdenticalToFromScratch) {
   }
 }
 
+TEST(LeafEvaluator, BoundarySeededGreedyIsBitIdenticalToFromScratch) {
+  // Hier cone problems carry measured boundary arrivals and slews, some
+  // sharper than the library's primary-input default. The evaluator's
+  // abort bounds must be seeded the same way, or a feasible trial can be
+  // rejected early and the amortized greedy diverges from the
+  // from-scratch one (which runs without bounds).
+  for (std::uint64_t seed : {61ULL, 62ULL, 63ULL}) {
+    const auto n = random_net(seed, 10, 80);
+    Rng rng(seed);
+    ProblemOptions popts;
+    for (int i = 0; i < n.num_control_points(); ++i) {
+      const double slew = rng.next_below(3) == 0 ? 0.0 : 0.1 + 4.9 * rng.next_double();
+      popts.boundary.points.push_back({30.0 * rng.next_double(), slew});
+    }
+    for (const double penalty : {0.0, 0.02, 0.05}) {
+      const AssignmentProblem problem(n, penalty, popts);
+      LeafEvaluator evaluator(problem);
+      for (int step = 0; step < 6; ++step) {
+        const std::vector<bool> vector = random_vector(rng, n.num_control_points());
+        expect_solution_eq(evaluator.evaluate_greedy(vector),
+                           assign_gates_greedy(problem, vector));
+      }
+    }
+  }
+}
+
 TEST(LeafEvaluator, BundledCircuitsAreBitIdentical) {
   // Every bundled combinational benchmark, a couple of leaves each: the
   // amortized greedy and state-only evaluations must match the

@@ -9,6 +9,7 @@
 // exactly zero: EXPECT_EQ on doubles throughout, never EXPECT_NEAR.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +17,7 @@
 
 #include "cellkit/plane_compile.hpp"
 #include "cellkit/topology.hpp"
+#include "liberty/nldm.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/benchmarks.hpp"
 #include "netlist/generators.hpp"
@@ -358,16 +360,17 @@ TEST(Simd, SelectAddStateIndexingMatchesLocalState) {
 }
 
 TEST(Simd, LocateHiMatchesPortableForAllSizesAndQueries) {
+  // The inline NLDM segment search (liberty::locate_segment, which counts
+  // inner knots below x) against the historical scalar loop
+  //   hi = 1; while (hi + 1 < size && axis[hi] < x) ++hi;
+  // for every axis size the library accepts up to 12 knots.
   Rng rng(82);
-  for (std::size_t size = 2; size <= simd::kAxisPad; ++size) {
-    alignas(32) double axis[simd::kAxisPad];
+  for (std::size_t size = 1; size <= 12; ++size) {
+    std::vector<double> axis(size);
     double knot = -3.0;
     for (std::size_t i = 0; i < size; ++i) {
       knot += 0.25 + rng.next_double() * 10.0;
       axis[i] = knot;
-    }
-    for (std::size_t i = size; i < simd::kAxisPad; ++i) {
-      axis[i] = std::numeric_limits<double>::infinity();
     }
     // Below the first knot, above the last, exactly on knots, in between.
     std::vector<double> queries = {axis[0] - 10.0, axis[size - 1] + 10.0};
@@ -380,7 +383,17 @@ TEST(Simd, LocateHiMatchesPortableForAllSizesAndQueries) {
       queries.push_back(axis[0] - 5.0 + rng.next_double() * (knot - axis[0] + 10.0));
     }
     for (double x : queries) {
-      ASSERT_EQ(simd::locate_hi(axis, size, x), simd::locate_hi_portable(axis, size, x))
+      const liberty::AxisSegment got = liberty::locate_segment(axis.data(), size, x);
+      std::size_t lo = 0;
+      double t = 0.0;
+      if (size > 1) {
+        std::size_t hi = 1;
+        while (hi + 1 < size && axis[hi] < x) ++hi;
+        lo = hi - 1;
+        t = (x - axis[lo]) / (axis[hi] - axis[lo]);
+      }
+      ASSERT_EQ(got.lo, lo) << "size " << size << " x " << x;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.t), std::bit_cast<std::uint64_t>(t))
           << "size " << size << " x " << x;
     }
   }

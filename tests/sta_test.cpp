@@ -155,33 +155,99 @@ TEST(Sta, CriticalPathIsConnectedAndEndsAtInput) {
   EXPECT_TRUE(from_pi);
 }
 
+/// Every cell of `library` once per fanout in {0, 1, 3, 10, 60}: the
+/// instance drives that many INV sinks (fanout 0: it is a primary output
+/// itself), so its load spans the characterized load axis and beyond.
+netlist::Netlist fanout_fixture(const liberty::Library& library) {
+  netlist::Netlist n("fanout", &library);
+  std::vector<int> inputs;
+  for (int i = 0; i < 4; ++i) {
+    inputs.push_back(n.add_signal("i" + std::to_string(i)));
+    n.mark_input(inputs.back());
+  }
+  int id = 0;
+  for (const liberty::LibCell& cell : library.cells()) {
+    const std::size_t pins = cell.variants().front().pins.size();
+    for (int fanout : {0, 1, 3, 10, 60}) {
+      const std::string tag = std::to_string(id++);
+      const int out = n.add_signal("o" + tag);
+      n.add_gate("g" + tag, cell.name(),
+                 std::vector<int>(inputs.begin(),
+                                  inputs.begin() + static_cast<std::ptrdiff_t>(pins)),
+                 out);
+      if (fanout == 0) n.mark_output(out);
+      for (int k = 0; k < fanout; ++k) {
+        const int sink = n.add_signal("s" + tag + "_" + std::to_string(k));
+        n.add_gate("h" + tag + "_" + std::to_string(k), "INV", {out}, sink);
+        n.mark_output(sink);
+      }
+    }
+  }
+  n.finalize();
+  return n;
+}
+
 TEST(Sta, LoadSliceBitIdenticalToTableLookup) {
-  // The contract of NldmLoadSlice: lookup(slew) returns the SAME BITS as
-  // the 2-D table lookup at the construction load, including extrapolation
-  // beyond both ends of the slew axis.
+  // The contract of LoadSlicedTables: a row interpolated at the located
+  // slew segment returns the SAME BITS as the 2-D table lookup at the
+  // gate's load, including extrapolation beyond both ends of the slew
+  // axis and loads inside, between and outside the load axis.
+  liberty::LibraryOptions narrow_loads;
+  narrow_loads.load_axis_ff = {4.0, 9.0, 20.0};  // fanout 0/1 loads fall below
+  const liberty::Library narrow =
+      liberty::Library::build(model::TechParams::nominal(), narrow_loads);
   Rng rng(59);
-  for (const liberty::LibCell& cell : lib().cells()) {
-    for (const liberty::LibCellVariant& variant : cell.variants()) {
-      for (const liberty::PinTiming& pin : variant.pins) {
-        for (const liberty::NldmTable* table :
-             {&pin.delay_rise, &pin.delay_fall, &pin.slew_rise, &pin.slew_fall}) {
-          // Loads inside, between and outside the characterized axis.
-          const double load =
-              0.1 + 80.0 * static_cast<double>(rng.next_below(1000)) / 1000.0;
-          const liberty::NldmLoadSlice slice(*table, load);
-          for (int probe = 0; probe < 20; ++probe) {
-            const double slew =
-                -30.0 + 400.0 * static_cast<double>(rng.next_below(1000)) / 1000.0;
-            const double expect = table->lookup(slew, load);
-            const double got = slice.lookup(slew);
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(expect),
-                      std::bit_cast<std::uint64_t>(got))
-                << cell.name() << " slew=" << slew << " load=" << load;
+  for (const liberty::Library* library : {&lib(), &narrow}) {
+    const netlist::Netlist n = fanout_fixture(*library);
+    const LoadSlicedTables slices(n);
+    const std::size_t knots = slices.knots();
+    ASSERT_EQ(knots, library->options().slew_axis_ps.size());
+    for (int g = 0; g < n.num_gates(); ++g) {
+      const double load = n.signal_load_ff(n.gate(g).output);
+      const liberty::LibCell& cell = n.cell_of(g);
+      for (int v = 0; v < cell.num_variants(); ++v) {
+        const liberty::LibCellVariant& variant = cell.variant(v);
+        for (std::size_t p = 0; p < variant.pins.size(); ++p) {
+          const liberty::PinTiming& pin = variant.pins[p];
+          const double* rows = slices.arc_rows(g, v, static_cast<int>(p));
+          const liberty::NldmTable* tables[LoadSlicedTables::kRowsPerArc] = {
+              &pin.delay_rise, &pin.slew_rise, &pin.delay_fall, &pin.slew_fall};
+          for (std::size_t r = 0; r < LoadSlicedTables::kRowsPerArc; ++r) {
+            std::vector<double> slews = tables[r]->slew_axis_ps();  // on the knots
+            for (int probe = 0; probe < 20; ++probe) {
+              slews.push_back(-30.0 +
+                              400.0 * static_cast<double>(rng.next_below(1000)) / 1000.0);
+            }
+            for (double slew : slews) {
+              const double expect = tables[r]->lookup(slew, load);
+              const double got = liberty::interpolate(
+                  rows + r * knots, knots,
+                  liberty::locate_segment(slices.slew_axis(), knots, slew));
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(expect),
+                        std::bit_cast<std::uint64_t>(got))
+                  << cell.name() << " row " << r << " slew=" << slew << " load=" << load;
+            }
           }
         }
       }
     }
   }
+}
+
+TEST(Sta, LoadSlicedTablesRejectMixedSlewAxes) {
+  liberty::Library mixed = liberty::Library::build(model::TechParams::nominal(), {});
+  const liberty::NldmTable& original = mixed.cell("INV").variant(0).pins[0].delay_rise;
+  std::vector<double> values(2 * original.load_axis_ff().size(), 10.0);
+  mixed.cell_at_mut(mixed.cell_index("INV")).variant_mut(0).pins[0].delay_rise =
+      liberty::NldmTable({5.0, 50.0}, original.load_axis_ff(), values);
+  netlist::Netlist n("mixed", &mixed);
+  const int in = n.add_signal("in");
+  const int out = n.add_signal("out");
+  n.mark_input(in);
+  n.add_gate("g", "INV", {in}, out);
+  n.mark_output(out);
+  n.finalize();
+  EXPECT_THROW(LoadSlicedTables{n}, ContractError);
 }
 
 TEST(Sta, SlicedIncrementalUpdatesBitIdenticalToUnsliced) {
@@ -213,12 +279,141 @@ TEST(Sta, SlicedIncrementalUpdatesBitIdenticalToUnsliced) {
   }
 }
 
+TEST(Sta, SlicedUpdatesBitIdenticalForOneAndTenKnotSlewAxes) {
+  // The flat rows take any knot count: a single-knot axis (no slew
+  // dependence at all) and a ten-knot one must both reproduce the 2-D
+  // lookups bit for bit through incremental updates.
+  for (const std::vector<double>& axis :
+       {std::vector<double>{30.0},
+        std::vector<double>{2.0, 5.0, 10.0, 20.0, 35.0, 60.0, 100.0, 160.0, 250.0, 400.0}}) {
+    liberty::LibraryOptions options;
+    options.slew_axis_ps = axis;
+    const liberty::Library library =
+        liberty::Library::build(model::TechParams::nominal(), options);
+    const auto n = netlist::random_circuit(library, "sta_knots", 12, 100, 67);
+    const LoadSlicedTables slices(n);
+    ASSERT_EQ(slices.knots(), axis.size());
+    sim::CircuitConfig config = sim::fastest_config(n);
+    TimingState sliced(n), plain(n);
+    sliced.analyze(config);
+    plain.analyze(config);
+    sliced.use_load_slices(&slices);
+
+    Rng rng(67);
+    for (int step = 0; step < 40; ++step) {
+      const int g =
+          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n.num_gates())));
+      config[static_cast<std::size_t>(g)].variant = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(n.cell_of(g).num_variants())));
+      TimingUndo undo_s, undo_p;
+      const double ds = sliced.update_after_gate_change(config, g, &undo_s);
+      const double dp = plain.update_after_gate_change(config, g, &undo_p);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ds), std::bit_cast<std::uint64_t>(dp))
+          << axis.size() << " knots, step " << step;
+      for (int s = 0; s < n.num_signals(); ++s) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(sliced.arrival_rise_ps(s)),
+                  std::bit_cast<std::uint64_t>(plain.arrival_rise_ps(s)));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(sliced.arrival_fall_ps(s)),
+                  std::bit_cast<std::uint64_t>(plain.arrival_fall_ps(s)));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(sliced.slew_rise_ps(s)),
+                  std::bit_cast<std::uint64_t>(plain.slew_rise_ps(s)));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(sliced.slew_fall_ps(s)),
+                  std::bit_cast<std::uint64_t>(plain.slew_fall_ps(s)));
+      }
+      ASSERT_EQ(undo_s.entries.size(), undo_p.entries.size());
+      if (step % 3 == 0) {  // exercise revert on both sides too
+        sliced.revert(undo_s);
+        plain.revert(undo_p);
+        config[static_cast<std::size_t>(g)].variant = n.cell_of(g).fastest_variant();
+        sliced.update_after_gate_change(config, g, nullptr);
+        plain.update_after_gate_change(config, g, nullptr);
+      }
+    }
+  }
+}
+
+/// True when, for every gate output, the analyzed worst arrival plus its
+/// downstream bound stays within the circuit delay (the soundness the
+/// bounded update's abort test relies on); reports the first violation.
+::testing::AssertionResult bounds_hold(const netlist::Netlist& n, const TimingState& timing,
+                                       const std::vector<double>& down_lb) {
+  const double delay = timing.circuit_delay_ps();
+  for (int g = 0; g < n.num_gates(); ++g) {
+    const int s = n.gate(g).output;
+    const double at = std::max(timing.arrival_rise_ps(s), timing.arrival_fall_ps(s));
+    if (at + down_lb[static_cast<std::size_t>(s)] > delay + 1e-9) {
+      return ::testing::AssertionFailure()
+             << "signal " << n.signal_name(s) << ": at " << at << " + lb "
+             << down_lb[static_cast<std::size_t>(s)] << " > delay " << delay;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Sta, DownstreamBoundsSoundUnderSharpBoundarySlews) {
+  // INPUT(a), n0 = NOT(a), o = NOT(n0): a boundary slew sharper than the
+  // library's primary-input default makes every stage faster than the
+  // default-seeded bound assumes. The bound must be seeded like analyze().
+  const auto n = inverter_chain(2);
+  const LoadSlicedTables slices(n);
+  for (const double slew : {0.1, 1.0, 5.0}) {
+    BoundaryTiming boundary;
+    boundary.points.push_back({0.0, slew});
+    TimingState timing(n);
+    timing.set_boundary(boundary);
+    timing.analyze(sim::fastest_config(n));
+    EXPECT_TRUE(bounds_hold(n, timing, downstream_delay_lower_bounds_ps(n, slices, boundary)))
+        << "boundary slew " << slew;
+  }
+}
+
+TEST(Sta, DownstreamBoundsHoldUnderRandomConfigs) {
+  // Property: for random variants and random pin permutations, the
+  // analyzed arrival at every gate output plus its bound never exceeds the
+  // circuit delay -- with default seeds and with random boundary seeds.
+  for (std::uint64_t seed : {101ULL, 102ULL, 103ULL, 104ULL}) {
+    const auto n = netlist::random_circuit(lib(), "sta_lb", 12, 150, seed);
+    const LoadSlicedTables slices(n);
+    Rng rng(seed);
+    BoundaryTiming boundary;
+    for (int i = 0; i < n.num_control_points(); ++i) {
+      // Slews from 0.5 to 60 ps, some <= 0 (the library default).
+      const double slew = rng.next_below(4) == 0 ? 0.0 : 0.5 + 59.5 * rng.next_double();
+      boundary.points.push_back({40.0 * rng.next_double(), slew});
+    }
+    const BoundaryTiming defaults;
+    const BoundaryTiming* seeds[] = {&defaults, &boundary};
+    for (const BoundaryTiming* b : seeds) {
+      const std::vector<double> down_lb = downstream_delay_lower_bounds_ps(n, slices, *b);
+      TimingState timing(n);
+      timing.set_boundary(*b);
+      for (int trial = 0; trial < 25; ++trial) {
+        sim::CircuitConfig config = sim::fastest_config(n);
+        for (int g = 0; g < n.num_gates(); ++g) {
+          sim::GateConfig& gc = config[static_cast<std::size_t>(g)];
+          gc.variant = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(n.cell_of(g).num_variants())));
+          std::vector<int> perm(n.gate(g).fanins.size());
+          for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
+          for (std::size_t i = perm.size(); i > 1; --i) {
+            std::swap(perm[i - 1], perm[rng.next_below(i)]);
+          }
+          gc.mapping.logical_to_physical = perm;
+        }
+        timing.analyze(config);
+        ASSERT_TRUE(bounds_hold(n, timing, down_lb)) << "seed " << seed << " trial " << trial;
+      }
+    }
+  }
+}
+
 TEST(Sta, BoundedUpdateMatchesPlainWhenNoAbort) {
   // With an unreachable ceiling the bounded update must walk the exact
   // same cone and produce bit-identical state; with an impossible ceiling
   // it must abort (returning 1e300) and revert back to the starting bits.
   const auto n = netlist::random_circuit(lib(), "sta_bb", 14, 120, 61);
-  const std::vector<double> down_lb = downstream_delay_lower_bounds_ps(n);
+  const std::vector<double> down_lb =
+      downstream_delay_lower_bounds_ps(n, LoadSlicedTables(n), BoundaryTiming{});
   sim::CircuitConfig config = sim::fastest_config(n);
   TimingState bounded(n), plain(n);
   bounded.analyze(config);
@@ -321,7 +516,8 @@ std::size_t distinct_observe_points(const netlist::Netlist& n) {
 /// snapshot/restore and analyze. After each step the cached circuit delay
 /// must equal the linear scan bit for bit.
 void check_incremental_delay(const netlist::Netlist& n, std::uint64_t seed) {
-  const std::vector<double> down_lb = downstream_delay_lower_bounds_ps(n);
+  const std::vector<double> down_lb =
+      downstream_delay_lower_bounds_ps(n, LoadSlicedTables(n), BoundaryTiming{});
   sim::CircuitConfig config = sim::fastest_config(n);
   TimingState timing(n);
   const double analyzed = timing.analyze(config);
