@@ -1,23 +1,24 @@
 // Word-parallel (64-wide) simulation kernel benchmark: the curated
 // BENCH_sim_kernels.json artifact behind the README performance table.
 //
-// Three same-work Monte-Carlo leakage implementations on c6288 (16x16
-// array multiplier, the largest bundled netlist):
+// Three same-work Monte-Carlo leakage implementations, on c6288 (16x16
+// array multiplier, NAND2/INV only) and on c7552 (whose 3- and 4-input
+// cells exercise every fanin count of the packed accumulation):
 //
 //   scalar -- one vector at a time through sim::simulate (the reference
 //             backend, sim::SimBackend::kScalar);
 //   hybrid -- word-parallel sim::simulate64 followed by per-lane scalar
 //             state extraction + accumulation (what the code did before
 //             the packed subsystem existed);
-//   packed -- sim::PackedBoolSim bit-plane simulation with the fused
-//             simd::select_add accumulation (sim::SimBackend::kPacked).
+//   packed -- sim::PackedBoolSim bit-plane simulation with the
+//             simd::select_add lane accumulation (sim::SimBackend::kPacked).
 //
 // All three consume the same Rng word stream and perform the identical
 // per-lane FP addition sequence, so their mean/min/max must be
 // bit-identical -- the bench asserts this, making the speedups a pure
-// same-work comparison. A fourth section runs the state-only random-probe
-// sweep (the rewired opt consumer) scalar vs packed, and a fifth records
-// thread scaling of the packed parallel Monte-Carlo at 1/2/4/8 threads.
+// same-work comparison. A further section runs the state-only random-probe
+// sweep on c6288 scalar vs packed, and the last records thread scaling of
+// the packed parallel Monte-Carlo on c6288 at 1/2/4/8 threads.
 // On a single-CPU host the scaling curve is necessarily flat -- that is
 // the honest datum, not a bug; `hardware_threads` in the context says
 // which regime the numbers were captured in.
@@ -81,6 +82,58 @@ bool same_result(const sim::MonteCarloResult& a, const sim::MonteCarloResult& b)
   return a.mean_na == b.mean_na && a.min_na == b.min_na && a.max_na == b.max_na;
 }
 
+/// Times the three Monte-Carlo implementations on the benchmark `circuit`;
+/// returns false (after printing why) when their results are not
+/// bit-identical.
+bool monte_carlo_section(const liberty::Library& library, const char* circuit,
+                         int vectors, std::uint64_t seed, svc::Json::Array& rows) {
+  const netlist::Netlist netlist = netlist::make_benchmark(circuit, library);
+  const sim::CircuitConfig config = sim::fastest_config(netlist);
+  Timer timer;
+  const sim::MonteCarloResult scalar = sim::monte_carlo_leakage(
+      netlist, config, vectors, seed, sim::SimBackend::kScalar);
+  const double scalar_s = timer.seconds();
+
+  timer.reset();
+  const sim::MonteCarloResult hybrid =
+      hybrid_monte_carlo(netlist, config, vectors, seed);
+  const double hybrid_s = timer.seconds();
+
+  timer.reset();
+  const sim::MonteCarloResult packed = sim::monte_carlo_leakage(
+      netlist, config, vectors, seed, sim::SimBackend::kPacked);
+  const double packed_s = timer.seconds();
+
+  const bool identical = same_result(scalar, packed) && same_result(scalar, hybrid);
+  if (!identical) {
+    std::fprintf(stderr,
+                 "FATAL: %s backends disagree (scalar %.17g hybrid %.17g packed "
+                 "%.17g) -- the speedup numbers would be meaningless\n",
+                 circuit, scalar.mean_na, hybrid.mean_na, packed.mean_na);
+    return false;
+  }
+
+  std::printf("monte_carlo_leakage %s, %d vectors (mean %.3f nA):\n",
+              circuit, vectors, packed.mean_na);
+  std::printf("  scalar  %.4fs\n", scalar_s);
+  std::printf("  hybrid  %.4fs  (%.1fx)\n", hybrid_s, scalar_s / hybrid_s);
+  std::printf("  packed  %.4fs  (%.1fx)\n\n", packed_s, scalar_s / packed_s);
+
+  svc::Json mc = svc::Json::object();
+  mc.set("circuit", circuit);
+  mc.set("gates", netlist.num_gates());
+  mc.set("vectors", vectors);
+  mc.set("mean_na", packed.mean_na);
+  mc.set("scalar_s", scalar_s);
+  mc.set("hybrid_s", hybrid_s);
+  mc.set("packed_s", packed_s);
+  mc.set("hybrid_speedup_x", scalar_s / hybrid_s);
+  mc.set("packed_speedup_x", scalar_s / packed_s);
+  mc.set("bit_identical", identical);
+  rows.push_back(std::move(mc));
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -109,47 +162,11 @@ int main(int argc, char** argv) {
   doc.set("context", context);
 
   // --- Monte-Carlo backends, same work, bit-identical results ----------
-  Timer timer;
-  const sim::MonteCarloResult scalar = sim::monte_carlo_leakage(
-      netlist, config, vectors, seed, sim::SimBackend::kScalar);
-  const double scalar_s = timer.seconds();
-
-  timer.reset();
-  const sim::MonteCarloResult hybrid =
-      hybrid_monte_carlo(netlist, config, vectors, seed);
-  const double hybrid_s = timer.seconds();
-
-  timer.reset();
-  const sim::MonteCarloResult packed = sim::monte_carlo_leakage(
-      netlist, config, vectors, seed, sim::SimBackend::kPacked);
-  const double packed_s = timer.seconds();
-
-  const bool identical = same_result(scalar, packed) && same_result(scalar, hybrid);
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FATAL: backends disagree (scalar %.17g hybrid %.17g packed "
-                 "%.17g) -- the speedup numbers would be meaningless\n",
-                 scalar.mean_na, hybrid.mean_na, packed.mean_na);
-    return 1;
+  svc::Json::Array mc_rows;
+  for (const char* circuit : {"c6288", "c7552"}) {
+    if (!monte_carlo_section(library, circuit, vectors, seed, mc_rows)) return 1;
   }
-
-  std::printf("monte_carlo_leakage c6288, %d vectors (mean %.3f nA):\n",
-              vectors, packed.mean_na);
-  std::printf("  scalar  %.4fs\n", scalar_s);
-  std::printf("  hybrid  %.4fs  (%.1fx)\n", hybrid_s, scalar_s / hybrid_s);
-  std::printf("  packed  %.4fs  (%.1fx)\n\n", packed_s, scalar_s / packed_s);
-
-  svc::Json mc = svc::Json::object();
-  mc.set("circuit", "c6288");
-  mc.set("vectors", vectors);
-  mc.set("mean_na", packed.mean_na);
-  mc.set("scalar_s", scalar_s);
-  mc.set("hybrid_s", hybrid_s);
-  mc.set("packed_s", packed_s);
-  mc.set("hybrid_speedup_x", scalar_s / hybrid_s);
-  mc.set("packed_speedup_x", scalar_s / packed_s);
-  mc.set("bit_identical", identical);
-  doc.set("monte_carlo", mc);
+  doc.set("monte_carlo", svc::Json(std::move(mc_rows)));
 
   // --- State-only probe sweep, scalar vs packed backend ----------------
   const opt::AssignmentProblem problem(netlist, 0.05);
@@ -160,7 +177,7 @@ int main(int argc, char** argv) {
   sweep.threads = 1;
 
   sweep.sim_backend = sim::SimBackend::kScalar;
-  timer.reset();
+  Timer timer;
   const opt::Solution sweep_scalar = opt::state_only_search(problem, sweep);
   const double sweep_scalar_s = timer.seconds();
 

@@ -9,7 +9,7 @@
 
 namespace svtox::liberty {
 
-std::string liberty_pin_name(int pin) { return "A" + std::to_string(pin + 1); }
+std::string liberty_pin_name(int pin) { return numbered("A", pin + 1); }
 
 std::string liberty_function(const std::string& name) {
   auto join = [](int k, char op) {

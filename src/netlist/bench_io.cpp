@@ -35,7 +35,7 @@ class Mapper {
   }
 
   void gate(const std::string& cell, std::vector<int> fanins, int output) {
-    netlist_.add_gate("g" + std::to_string(counter_++), cell, std::move(fanins), output);
+    netlist_.add_gate(numbered("g", counter_++), cell, std::move(fanins), output);
   }
 
   /// NOT.
@@ -55,7 +55,7 @@ class Mapper {
       return;
     }
     while (ins.size() > 4) ins = reduce_with_and(std::move(ins));
-    const std::string cell = "NAND" + std::to_string(ins.size());
+    const std::string cell = numbered("NAND", static_cast<long long>(ins.size()));
     gate(cell, std::move(ins), out);
   }
 
@@ -66,7 +66,7 @@ class Mapper {
       return;
     }
     while (ins.size() > 4) ins = reduce_with_or(std::move(ins));
-    const std::string cell = "NOR" + std::to_string(ins.size());
+    const std::string cell = numbered("NOR", static_cast<long long>(ins.size()));
     gate(cell, std::move(ins), out);
   }
 

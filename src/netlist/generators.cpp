@@ -4,6 +4,7 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace svtox::netlist {
 
@@ -73,7 +74,7 @@ Netlist random_circuit(const liberty::Library& library, const std::string& name,
   std::vector<int> signals;  // all drivable sources, in creation order
   std::vector<int> unused_inputs;
   for (int i = 0; i < num_inputs; ++i) {
-    const int sig = netlist.add_signal("pi" + std::to_string(i));
+    const int sig = netlist.add_signal(numbered("pi", i));
     netlist.mark_input(sig);
     signals.push_back(sig);
     unused_inputs.push_back(sig);
@@ -106,8 +107,8 @@ Netlist random_circuit(const liberty::Library& library, const std::string& name,
       }
     }
 
-    const int out = netlist.add_signal("n" + std::to_string(g));
-    netlist.add_gate("g" + std::to_string(g), picker.cell_index(cell), std::move(fanins),
+    const int out = netlist.add_signal(numbered("n", g));
+    netlist.add_gate(numbered("g", g), picker.cell_index(cell), std::move(fanins),
                      out);
     signals.push_back(out);
   }
@@ -191,12 +192,12 @@ class Builder {
 
 Netlist ripple_carry_adder(const liberty::Library& library, int bits) {
   if (bits < 1) throw ContractError("ripple_carry_adder: need at least 1 bit");
-  Netlist netlist("rca" + std::to_string(bits), &library);
+  Netlist netlist(numbered("rca", bits), &library);
   Builder b(netlist);
 
   std::vector<int> a(bits), bb(bits);
-  for (int i = 0; i < bits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (int i = 0; i < bits; ++i) bb[i] = b.input("b" + std::to_string(i));
+  for (int i = 0; i < bits; ++i) a[i] = b.input(numbered("a", i));
+  for (int i = 0; i < bits; ++i) bb[i] = b.input(numbered("b", i));
   int carry = b.input("cin");
 
   for (int i = 0; i < bits; ++i) {
@@ -212,12 +213,12 @@ Netlist ripple_carry_adder(const liberty::Library& library, int bits) {
 
 Netlist array_multiplier(const liberty::Library& library, int n) {
   if (n < 2) throw ContractError("array_multiplier: need at least 2 bits");
-  Netlist netlist("mul" + std::to_string(n) + "x" + std::to_string(n), &library);
+  Netlist netlist(numbered("mul", n) + numbered("x", n), &library);
   Builder b(netlist);
 
   std::vector<int> a(n), x(n);
-  for (int i = 0; i < n; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (int i = 0; i < n; ++i) x[i] = b.input("b" + std::to_string(i));
+  for (int i = 0; i < n; ++i) a[i] = b.input(numbered("a", i));
+  for (int i = 0; i < n; ++i) x[i] = b.input(numbered("b", i));
 
   // Partial products pp[i][j] = a[i] & x[j].
   std::vector<std::vector<int>> pp(n, std::vector<int>(n));
@@ -274,8 +275,8 @@ Netlist alu64(const liberty::Library& library) {
 
   constexpr int kBits = 64;
   std::vector<int> a(kBits), x(kBits);
-  for (int i = 0; i < kBits; ++i) a[i] = b.input("a" + std::to_string(i));
-  for (int i = 0; i < kBits; ++i) x[i] = b.input("b" + std::to_string(i));
+  for (int i = 0; i < kBits; ++i) a[i] = b.input(numbered("a", i));
+  for (int i = 0; i < kBits; ++i) x[i] = b.input(numbered("b", i));
   const int s0 = b.input("sel0");
   const int s1 = b.input("sel1");
   const int cin = b.input("cin");
@@ -350,7 +351,7 @@ Netlist sequential_pipeline(const liberty::Library& library, const std::string& 
   // Stage 0 sources: primary inputs. Later stages read register outputs.
   std::vector<int> sources;
   for (int i = 0; i < width; ++i) {
-    const int sig = netlist.add_signal("pi" + std::to_string(i));
+    const int sig = netlist.add_signal(numbered("pi", i));
     netlist.mark_input(sig);
     sources.push_back(sig);
   }
@@ -377,9 +378,9 @@ Netlist sequential_pipeline(const liberty::Library& library, const std::string& 
           fanins.push_back(candidate);
         }
       }
-      const int out = netlist.add_signal("s" + std::to_string(stage) + "_n" +
+      const int out = netlist.add_signal(numbered("s", stage) + "_n" +
                                          std::to_string(g));
-      netlist.add_gate("g" + std::to_string(counter++), picker.cell_index(cell),
+      netlist.add_gate(numbered("g", counter++), picker.cell_index(cell),
                        std::move(fanins), out);
       signals.push_back(out);
     }
@@ -393,9 +394,9 @@ Netlist sequential_pipeline(const liberty::Library& library, const std::string& 
         netlist.mark_output(d);  // final stage feeds the outputs directly
         continue;
       }
-      const int q = netlist.add_signal("r" + std::to_string(stage) + "_q" +
+      const int q = netlist.add_signal(numbered("r", stage) + "_q" +
                                        std::to_string(b));
-      netlist.add_flip_flop("ff" + std::to_string(stage) + "_" + std::to_string(b), d, q);
+      netlist.add_flip_flop(numbered("ff", stage) + numbered("_", b), d, q);
       next_sources.push_back(q);
     }
     if (stage + 1 < stages) sources = std::move(next_sources);
@@ -409,12 +410,12 @@ Netlist parity_checker(const liberty::Library& library, int data_bits, int check
   if (data_bits < 2 || check_bits < 1) {
     throw ContractError("parity_checker: bad configuration");
   }
-  Netlist netlist("sec" + std::to_string(data_bits), &library);
+  Netlist netlist(numbered("sec", data_bits), &library);
   Builder b(netlist);
 
   std::vector<int> data(data_bits), check(check_bits);
-  for (int i = 0; i < data_bits; ++i) data[i] = b.input("d" + std::to_string(i));
-  for (int i = 0; i < check_bits; ++i) check[i] = b.input("c" + std::to_string(i));
+  for (int i = 0; i < data_bits; ++i) data[i] = b.input(numbered("d", i));
+  for (int i = 0; i < check_bits; ++i) check[i] = b.input(numbered("c", i));
   const int enable = b.input("en");
 
   // Syndrome j = XOR of a (Hamming-style) half of the data bits + check j.
@@ -480,7 +481,7 @@ Netlist random_dag(const liberty::Library& library, const std::string& name,
   std::vector<int> unused_inputs;
   std::vector<int> prev_rank;  // previous rank's signals (rank 0: the PIs)
   for (int i = 0; i < options.num_inputs; ++i) {
-    const int sig = netlist.add_signal("pi" + std::to_string(i));
+    const int sig = netlist.add_signal(numbered("pi", i));
     netlist.mark_input(sig);
     add_source(sig);
     unused_inputs.push_back(sig);
@@ -537,8 +538,8 @@ Netlist random_dag(const liberty::Library& library, const std::string& name,
         fanins.push_back(candidate);
       }
 
-      const int out = netlist.add_signal("n" + std::to_string(emitted + g));
-      netlist.add_gate("g" + std::to_string(emitted + g), picker.cell_index(cell),
+      const int out = netlist.add_signal(numbered("n", emitted + g));
+      netlist.add_gate(numbered("g", emitted + g), picker.cell_index(cell),
                        fanins, out);
       this_rank.push_back(out);
     }
@@ -565,7 +566,7 @@ Netlist random_dag(const liberty::Library& library, const std::string& name,
 Netlist adder_tree(const liberty::Library& library, int width, int operands) {
   if (width < 1) throw ContractError("adder_tree: need at least 1 bit");
   if (operands < 2) throw ContractError("adder_tree: need at least 2 operands");
-  Netlist netlist("addtree" + std::to_string(width) + "x" + std::to_string(operands),
+  Netlist netlist(numbered("addtree", width) + numbered("x", operands),
                   &library);
   Builder b(netlist);
 
@@ -577,7 +578,7 @@ Netlist adder_tree(const liberty::Library& library, int width, int operands) {
     terms[static_cast<std::size_t>(o)].resize(static_cast<std::size_t>(width));
     for (int i = 0; i < width; ++i) {
       terms[static_cast<std::size_t>(o)][static_cast<std::size_t>(i)] =
-          b.input("op" + std::to_string(o) + "_" + std::to_string(i));
+          b.input(numbered("op", o) + numbered("_", i));
     }
   }
 

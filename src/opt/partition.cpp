@@ -139,11 +139,11 @@ std::string canonical_bench_text(const netlist::Netlist& netlist,
   std::vector<std::string> local(static_cast<std::size_t>(netlist.num_signals()));
   for (std::size_t j = 0; j < partition.boundary_inputs.size(); ++j) {
     local[static_cast<std::size_t>(partition.boundary_inputs[j])] =
-        "bi" + std::to_string(j);
+        numbered("bi", static_cast<long long>(j));
   }
   for (std::size_t k = 0; k < partition.gates.size(); ++k) {
     local[static_cast<std::size_t>(netlist.gate(partition.gates[k]).output)] =
-        "n" + std::to_string(k);
+        numbered("n", static_cast<long long>(k));
   }
 
   std::string out;

@@ -415,7 +415,7 @@ void parallel_split(SearchContext& ctx, int threads) {
 }
 
 /// Word-parallel state-only probe sweep: 64 probes per PackedBoolSim pass,
-/// per-lane leakage totals accumulated gate-by-gate with scatter-adds (the
+/// per-lane leakage totals accumulated gate-by-gate by simd::select_add (the
 /// exact FP sequence of evaluate_state_only's per-gate sum, so each lane's
 /// total is bit-identical to the scalar probe evaluation). Each batch
 /// offers only its best lane under the incumbent's total order (leakage,
@@ -441,6 +441,9 @@ void packed_probe_sweep(SearchContext& ctx, const std::vector<std::vector<bool>>
       by_cell[cell].push_back(problem.fastest_gate_leak_na(g, s));
     }
   }
+  const netlist::FlatNetlist& flat = netlist.flat();
+  const std::vector<simd::SelectGate> plan = sim::select_plan(
+      flat, [&](std::uint32_t g) { return by_cell[flat.cell_index(g)].data(); });
   const sim::CircuitConfig config = sim::fastest_config(netlist);
   const std::size_t num_batches = (probes.size() + 63) / 64;
 
@@ -466,15 +469,7 @@ void packed_probe_sweep(SearchContext& ctx, const std::vector<std::vector<bool>>
       }
       const std::vector<std::uint64_t>& words = packed.run(pi_words);
       std::fill(totals, totals + 64, 0.0);
-      const std::uint64_t mask = sim::tail_mask(lanes);
-      for (int g = 0; g < num_gates; ++g) {
-        const double* leak =
-            by_cell[static_cast<std::size_t>(netlist.gate(g).cell_index)].data();
-        sim::for_each_state_match(netlist, g, words, mask,
-                                  [&](std::uint32_t state, std::uint64_t match) {
-                                    simd::scatter_add(totals, match, leak[state]);
-                                  });
-      }
+      simd::select_add(totals, words.data(), plan.data(), plan.size());
       int best = 0;
       for (int lane = 1; lane < lanes; ++lane) {
         if (totals[lane] < totals[best] ||

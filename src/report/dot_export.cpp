@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace svtox::report {
 
@@ -50,8 +51,8 @@ void write_dot(const netlist::Netlist& netlist, std::ostream& out,
 
   auto source_node = [&](int signal) {
     const int driver = netlist.driver(signal);
-    if (driver >= 0) return "g" + std::to_string(driver);
-    return "s" + std::to_string(signal);
+    if (driver >= 0) return numbered("g", driver);
+    return numbered("s", signal);
   };
 
   for (int g = 0; g < netlist.num_gates(); ++g) {

@@ -141,56 +141,23 @@ MonteCarloResult monte_carlo_leakage(const netlist::Netlist& netlist,
   std::vector<std::uint64_t> pi_words(static_cast<std::size_t>(netlist.num_control_points()));
   if (backend == SimBackend::kPacked) {
     PackedBoolSim packed(netlist);
-    // Flat per-gate accumulation plan, hoisted out of the pass loop: pin
-    // word indices and the logical-state leak row, with no Gate/vector
-    // indirections left in the hot path. 1- and 2-input gates (the bulk of
-    // every library netlist) go through the fused simd::select_add kernels.
-    struct GatePlan {
-      std::int32_t num_pins;
-      std::int32_t pin0;
-      std::int32_t pin1;
-      const double* leak;
-    };
-    const netlist::FlatNetlist& flat = netlist.flat();
-    std::vector<GatePlan> plan(static_cast<std::size_t>(num_gates));
-    for (int g = 0; g < num_gates; ++g) {
-      const std::uint32_t* fanins = flat.fanins(static_cast<std::uint32_t>(g));
-      GatePlan& p = plan[static_cast<std::size_t>(g)];
-      p.num_pins = static_cast<std::int32_t>(flat.fanin_count(static_cast<std::uint32_t>(g)));
-      p.pin0 = p.num_pins > 0 ? static_cast<std::int32_t>(fanins[0]) : 0;
-      p.pin1 = p.num_pins > 1 ? static_cast<std::int32_t>(fanins[1]) : 0;
-      p.leak = leak.gate(g);
-    }
-    // Per-lane totals of one 64-vector pass. Each lane takes exactly one
-    // add per gate, in gate index order -- the same FP addition sequence
-    // as the scalar per-vector loop, hence bit-identical totals. The
-    // select_add kernels write all 64 lanes unconditionally (tail lanes
-    // accumulate junk); only the first `lanes` are ever read.
+    // Flat per-gate plan, built once: pin word indices and the gate's
+    // logical-state leak row. Each lane takes exactly one add per gate, in
+    // gate index order -- the same FP addition sequence as the scalar
+    // per-vector loop, hence bit-identical totals. select_add writes all
+    // 64 lanes (tail lanes accumulate junk); only the first `lanes` are
+    // ever read.
+    const std::vector<simd::SelectGate> plan =
+        select_plan(netlist.flat(), [&leak](std::uint32_t g) {
+          return leak.gate(static_cast<int>(g));
+        });
     alignas(32) double totals[64];
     while (remaining > 0) {
       const int lanes = std::min(remaining, 64);
       for (auto& word : pi_words) word = rng.next_u64();
       const std::vector<std::uint64_t>& words = packed.run(pi_words);
-
       std::fill(totals, totals + 64, 0.0);
-      const std::uint64_t mask = tail_mask(lanes);
-      for (int g = 0; g < num_gates; ++g) {
-        const GatePlan& p = plan[static_cast<std::size_t>(g)];
-        if (p.num_pins == 2) {
-          simd::select_add2(totals, words[static_cast<std::size_t>(p.pin0)],
-                            words[static_cast<std::size_t>(p.pin1)], p.leak);
-        } else if (p.num_pins == 1) {
-          simd::select_add1(totals, words[static_cast<std::size_t>(p.pin0)],
-                            p.leak);
-        } else {
-          const double* gate_leak = p.leak;
-          for_each_state_match(flat, static_cast<std::uint32_t>(g), words, mask,
-                               [&](std::uint32_t state, std::uint64_t match) {
-                                 simd::scatter_add(totals, match,
-                                                   gate_leak[state]);
-                               });
-        }
-      }
+      simd::select_add(totals, words.data(), plan.data(), plan.size());
       for (int lane = 0; lane < lanes; ++lane) {
         sum += totals[lane];
         result.min_na = std::min(result.min_na, totals[lane]);

@@ -1,7 +1,9 @@
 #include "sim/packed.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -225,6 +227,25 @@ const std::vector<cellkit::TriWord>& PackedTernarySim::run(
     planes[gate.output] = cellkit::tri_not(stack[0]);
   }
   return planes_;
+}
+
+std::vector<simd::SelectGate> select_plan(
+    const netlist::FlatNetlist& flat,
+    const std::function<const double*(std::uint32_t)>& leak_row) {
+  std::vector<simd::SelectGate> plan(flat.num_gates());
+  for (std::uint32_t g = 0; g < flat.num_gates(); ++g) {
+    simd::SelectGate& gate = plan[g];
+    gate.num_pins = flat.fanin_count(g);
+    if (gate.num_pins > simd::kMaxSelectPins) {
+      std::string what = "select_plan: gate ";
+      what += std::to_string(g);
+      what += " has more than 4 pins";
+      throw ContractError(what);
+    }
+    std::copy_n(flat.fanins(g), gate.num_pins, gate.pins);
+    gate.leak = leak_row(g);
+  }
+  return plan;
 }
 
 std::vector<std::vector<std::uint64_t>> state_histogram(const netlist::Netlist& netlist,

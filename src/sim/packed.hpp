@@ -14,17 +14,20 @@
 // Lane accounting: a batch always carries 64 lanes; callers processing
 // `n < 64` tail vectors mask their accumulation with `tail_mask(n)`.
 // Nothing in the simulators themselves depends on the active lane count --
-// inactive lanes compute garbage that the mask discards, and the kernels
-// below (histogram, leakage) take the mask explicitly.
+// inactive lanes compute garbage that the mask discards. The state-match
+// walk below takes the mask explicitly; the simd::select_add accumulation
+// over a select_plan writes all 64 lanes, and callers read only the live
+// ones.
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <functional>
 #include <vector>
 
 #include "cellkit/plane_compile.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/sim.hpp"
+#include "util/simd.hpp"
 
 namespace svtox::sim {
 
@@ -138,13 +141,13 @@ inline void for_each_state_match(const netlist::FlatNetlist& flat, std::uint32_t
   }
 }
 
-template <typename Fn>
-inline void for_each_state_match(const netlist::Netlist& netlist, int gate,
-                                 const std::vector<std::uint64_t>& signal_words,
-                                 std::uint64_t lane_mask, Fn&& fn) {
-  for_each_state_match(netlist.flat(), static_cast<std::uint32_t>(gate), signal_words,
-                       lane_mask, std::forward<Fn>(fn));
-}
+/// The simd::select_add plan of `flat`'s gates in index order: each gate's
+/// fanin signal ids as word indices and `leak_row(gate)`, its leak values
+/// indexed by local state. Throws ContractError for a gate wider than
+/// simd::kMaxSelectPins.
+std::vector<simd::SelectGate> select_plan(
+    const netlist::FlatNetlist& flat,
+    const std::function<const double*(std::uint32_t)>& leak_row);
 
 /// Per-gate local-state occurrence counts over `num_vectors` uniform random
 /// vectors (the Monte-Carlo state histogram): counts[g][s] = how many

@@ -1,6 +1,6 @@
 #include "util/simd.hpp"
 
-#include <array>
+#include <bit>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SVTOX_SIMD_X86 1
@@ -57,59 +57,52 @@ __attribute__((target("avx2"))) void scatter_add_avx2(double* totals,
   }
 }
 
-/// kLaneBit[group][j] = the bit lane 4*group+j tests in a packed word.
-constexpr std::array<std::array<std::uint64_t, 4>, 16> make_lane_bits() {
-  std::array<std::array<std::uint64_t, 4>, 16> bits{};
-  for (int group = 0; group < 16; ++group) {
-    for (int j = 0; j < 4; ++j) {
-      bits[static_cast<std::size_t>(group)][static_cast<std::size_t>(j)] =
-          1ULL << (4 * group + j);
+/// Adds one gate's leak values into the 16 register-resident lanes
+/// base..base+15 (four groups of four). Rotating pin p's word right by
+/// base - p puts lane base+l's bit at bit l+p, so a per-lane shift by l and
+/// a mask of bit p place it straight into the state index.
+template <std::uint32_t K>
+[[gnu::target("avx2"), gnu::always_inline]] inline void select_gate(
+    const SelectGate& gate, const std::uint64_t* words, int base,
+    const __m256i (&lane_shift)[4], __m256d (&acc)[4]) {
+  __m256i pin[K > 0 ? K : 1];
+  for (std::uint32_t p = 0; p < K; ++p) {
+    pin[p] = _mm256_set1_epi64x(static_cast<long long>(
+        std::rotr(words[gate.pins[p]], base - static_cast<int>(p))));
+  }
+  for (int j = 0; j < 4; ++j) {
+    __m256i state = _mm256_setzero_si256();
+    for (std::uint32_t p = 0; p < K; ++p) {
+      state = _mm256_or_si256(
+          state, _mm256_and_si256(_mm256_srlv_epi64(pin[p], lane_shift[j]),
+                                  _mm256_set1_epi64x(1LL << p)));
     }
-  }
-  return bits;
-}
-
-alignas(32) constexpr auto kLaneBit = make_lane_bits();
-
-__attribute__((target("avx2"))) void select_add1_avx2(double* totals,
-                                                      std::uint64_t w0,
-                                                      const double* leak) {
-  const __m256i v0 = _mm256_set1_epi64x(static_cast<long long>(w0));
-  const __m256d l0 = _mm256_set1_pd(leak[0]);
-  const __m256d l1 = _mm256_set1_pd(leak[1]);
-  for (int group = 0; group < 16; ++group) {
-    const __m256i bit = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kLaneBit[static_cast<std::size_t>(group)].data()));
-    const __m256d m0 = _mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(_mm256_and_si256(v0, bit), bit));
-    double* slot = totals + 4 * group;
-    _mm256_storeu_pd(slot, _mm256_add_pd(_mm256_loadu_pd(slot),
-                                         _mm256_blendv_pd(l0, l1, m0)));
+    acc[j] = _mm256_add_pd(acc[j], _mm256_i64gather_pd(gate.leak, state, 8));
   }
 }
 
-__attribute__((target("avx2"))) void select_add2_avx2(double* totals,
-                                                      std::uint64_t w0,
-                                                      std::uint64_t w1,
-                                                      const double* leak) {
-  const __m256i v0 = _mm256_set1_epi64x(static_cast<long long>(w0));
-  const __m256i v1 = _mm256_set1_epi64x(static_cast<long long>(w1));
-  const __m256d l00 = _mm256_set1_pd(leak[0]);
-  const __m256d l01 = _mm256_set1_pd(leak[1]);
-  const __m256d l10 = _mm256_set1_pd(leak[2]);
-  const __m256d l11 = _mm256_set1_pd(leak[3]);
-  for (int group = 0; group < 16; ++group) {
-    const __m256i bit = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kLaneBit[static_cast<std::size_t>(group)].data()));
-    const __m256d m0 = _mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(_mm256_and_si256(v0, bit), bit));
-    const __m256d m1 = _mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(_mm256_and_si256(v1, bit), bit));
-    const __m256d lo = _mm256_blendv_pd(l00, l01, m0);
-    const __m256d hi = _mm256_blendv_pd(l10, l11, m0);
-    double* slot = totals + 4 * group;
-    _mm256_storeu_pd(slot, _mm256_add_pd(_mm256_loadu_pd(slot),
-                                         _mm256_blendv_pd(lo, hi, m1)));
+__attribute__((target("avx2"))) void select_add_avx2(double* totals,
+                                                     const std::uint64_t* words,
+                                                     const SelectGate* plan,
+                                                     std::size_t num_gates) {
+  __m256i lane_shift[4];
+  for (int j = 0; j < 4; ++j) {
+    lane_shift[j] = _mm256_setr_epi64x(4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3);
+  }
+  for (int base = 0; base < 64; base += 16) {
+    __m256d acc[4];
+    for (int j = 0; j < 4; ++j) acc[j] = _mm256_loadu_pd(totals + base + 4 * j);
+    for (std::size_t g = 0; g < num_gates; ++g) {
+      const SelectGate& gate = plan[g];
+      switch (gate.num_pins) {
+        case 0: select_gate<0>(gate, words, base, lane_shift, acc); break;
+        case 1: select_gate<1>(gate, words, base, lane_shift, acc); break;
+        case 2: select_gate<2>(gate, words, base, lane_shift, acc); break;
+        case 3: select_gate<3>(gate, words, base, lane_shift, acc); break;
+        default: select_gate<4>(gate, words, base, lane_shift, acc); break;
+      }
+    }
+    for (int j = 0; j < 4; ++j) _mm256_storeu_pd(totals + base + 4 * j, acc[j]);
   }
 }
 
@@ -127,24 +120,15 @@ void scatter_add(double* totals, std::uint64_t mask, double value) {
 #endif
 }
 
-void select_add1(double* totals, std::uint64_t w0, const double* leak) {
+void select_add(double* totals, const std::uint64_t* words, const SelectGate* plan,
+                std::size_t num_gates) {
 #if SVTOX_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
-  static void (*const fn)(double*, std::uint64_t, const double*) =
-      has_avx2() ? &select_add1_avx2 : &select_add1_portable;
-  fn(totals, w0, leak);
+  static void (*const fn)(double*, const std::uint64_t*, const SelectGate*,
+                          std::size_t) =
+      has_avx2() ? &select_add_avx2 : &select_add_portable;
+  fn(totals, words, plan, num_gates);
 #else
-  select_add1_portable(totals, w0, leak);
-#endif
-}
-
-void select_add2(double* totals, std::uint64_t w0, std::uint64_t w1,
-                 const double* leak) {
-#if SVTOX_SIMD_X86 && (defined(__GNUC__) || defined(__clang__))
-  static void (*const fn)(double*, std::uint64_t, std::uint64_t, const double*) =
-      has_avx2() ? &select_add2_avx2 : &select_add2_portable;
-  fn(totals, w0, w1, leak);
-#else
-  select_add2_portable(totals, w0, w1, leak);
+  select_add_portable(totals, words, plan, num_gates);
 #endif
 }
 

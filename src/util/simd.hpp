@@ -5,16 +5,17 @@
 // only places that additionally benefit from explicit vector instructions:
 //
 //  * scatter_add -- "add `value` into totals[lane] for every set bit of
-//    `mask`", the per-state lane accumulation of the packed leakage
-//    kernels. The portable path walks set bits (ctz); the AVX2 path
-//    processes four lanes per blend-add.
-//  * select_add1 / select_add2 -- the fused form used by the Monte-Carlo
-//    leakage accumulation for 1- and 2-input gates (the bulk of every
-//    netlist): each lane reads its gate-local state directly from the
-//    packed pin words and adds the matching leak-table entry, so a gate
-//    costs one branchless sweep over the 64 lanes instead of one
-//    scatter_add per state. The AVX2 path selects the leak value with
-//    blendv chains keyed on per-lane bit tests.
+//    `mask`", the per-state lane accumulation of the packed prefix bounds
+//    (opt/packed_bound.hpp). The portable path walks set bits (ctz); the
+//    AVX2 path processes four lanes per blend-add.
+//  * select_add -- the leakage accumulation of the Monte-Carlo baseline
+//    and the state-only probe sweep: it walks a flat per-gate plan (pin
+//    word indices and a leak row indexed by the gate's local state) and
+//    adds leak[state(lane)] into every lane, for every fanin count up to
+//    kMaxSelectPins. The AVX2 path keeps one 16-lane block of totals in
+//    registers across the whole plan (four sweeps per 64 lanes), builds
+//    each lane's state index with variable shifts and picks the leak
+//    value with a 64-bit-index gather.
 //
 // Every variant is bit-identical to its portable reference (the AVX2
 // scatter_add preserves untouched lanes exactly via blendv rather than
@@ -49,30 +50,36 @@ inline void scatter_add_portable(double* totals, std::uint64_t mask, double valu
   }
 }
 
-/// totals[lane] += leak[bit(w0, lane)] for ALL 64 lanes (unmasked: callers
-/// with fewer than 64 live lanes must simply never read the tail lanes).
-/// `leak` holds the two per-state values of a 1-input gate.
-void select_add1(double* totals, std::uint64_t w0, const double* leak);
+/// Widest gate a select_add plan may hold (the library's 4-input cells).
+inline constexpr std::uint32_t kMaxSelectPins = 4;
 
-/// totals[lane] += leak[bit(w0, lane) | bit(w1, lane) << 1] for ALL 64
-/// lanes. `leak` holds the four per-state values of a 2-input gate, state
-/// bit p = pin p (the cellkit local-state convention).
-void select_add2(double* totals, std::uint64_t w0, std::uint64_t w1,
-                 const double* leak);
+/// One gate of a select_add plan.
+struct SelectGate {
+  std::uint32_t num_pins = 0;               ///< 0..kMaxSelectPins.
+  std::uint32_t pins[kMaxSelectPins] = {};  ///< Word index per pin.
+  const double* leak = nullptr;             ///< 1 << num_pins values.
+};
 
-/// Portable reference for select_add1 (exposed for tests and benches).
-inline void select_add1_portable(double* totals, std::uint64_t w0,
-                                 const double* leak) {
-  for (int lane = 0; lane < 64; ++lane) {
-    totals[lane] += leak[(w0 >> lane) & 1u];
-  }
-}
+/// For every gate of `plan` in order and for ALL 64 lanes (unmasked:
+/// callers with fewer live lanes never read the tail lanes):
+///   totals[lane] += gate.leak[state], state bit p = bit `lane` of
+///   words[gate.pins[p]] (the cellkit local-state convention).
+/// Each lane takes exactly one add per gate, in plan order.
+void select_add(double* totals, const std::uint64_t* words, const SelectGate* plan,
+                std::size_t num_gates);
 
-/// Portable reference for select_add2 (exposed for tests and benches).
-inline void select_add2_portable(double* totals, std::uint64_t w0,
-                                 std::uint64_t w1, const double* leak) {
-  for (int lane = 0; lane < 64; ++lane) {
-    totals[lane] += leak[((w0 >> lane) & 1u) | (((w1 >> lane) & 1u) << 1)];
+/// Portable reference for select_add (exposed for tests and benches).
+inline void select_add_portable(double* totals, const std::uint64_t* words,
+                                const SelectGate* plan, std::size_t num_gates) {
+  for (std::size_t g = 0; g < num_gates; ++g) {
+    const SelectGate& gate = plan[g];
+    for (int lane = 0; lane < 64; ++lane) {
+      std::uint32_t state = 0;
+      for (std::uint32_t p = 0; p < gate.num_pins; ++p) {
+        state |= static_cast<std::uint32_t>((words[gate.pins[p]] >> lane) & 1u) << p;
+      }
+      totals[lane] += gate.leak[state];
+    }
   }
 }
 

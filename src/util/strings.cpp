@@ -76,6 +76,12 @@ double parse_double(std::string_view s) {
   return value;
 }
 
+std::string numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

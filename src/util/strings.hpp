@@ -31,6 +31,11 @@ std::size_t parse_size(std::string_view s);
 /// Parses a double; throws ContractError on malformed input.
 double parse_double(std::string_view s);
 
+/// `prefix` followed by the decimal `n` ("g" and 12 give "g12"). Built by
+/// appending: GCC 12 flags `"g" + std::to_string(n)` with a false
+/// -Wrestrict positive inside libstdc++, which breaks -Werror builds.
+std::string numbered(std::string_view prefix, long long n);
+
 /// printf-style double formatting with fixed precision.
 std::string format_double(double v, int precision);
 

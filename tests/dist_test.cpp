@@ -25,6 +25,7 @@
 #include "svc/server.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/strings.hpp"
 
 namespace svtox {
 namespace {
@@ -55,7 +56,7 @@ TEST(HashRing, EveryMemberOwnsASliceOfTheKeySpace) {
   const std::vector<std::string> members = {"a:1", "b:2", "c:3", "d:4"};
   const svc::HashRing ring(members);
   std::set<std::string> seen;
-  for (int i = 0; i < 4000; ++i) seen.insert(ring.owner("k" + std::to_string(i)));
+  for (int i = 0; i < 4000; ++i) seen.insert(ring.owner(numbered("k", i)));
   EXPECT_EQ(seen.size(), members.size());
 }
 
@@ -104,7 +105,7 @@ TEST(HashRing, RemovingOneMemberOnlyMovesItsOwnKeys) {
   const int kKeys = 4000;
   int moved = 0;
   for (int i = 0; i < kKeys; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = numbered("k", i);
     if (before.owner(key) == removed) {
       ++moved;  // must move; its owner left the ring
       EXPECT_NE(after.owner(key), removed);

@@ -171,6 +171,11 @@ TEST(MonteCarloLeakage, BackendsBitIdenticalOnBundledCircuits) {
   expect_mc_backends_identical(bundled("c17.bench"), 200, 7);
   expect_mc_backends_identical(bundled("s27.bench"), 200, 7);
   expect_mc_backends_identical(netlist::make_benchmark("c6288", lib()), 100, 7);
+  // c17, s27 and c6288 have only 1- and 2-input gates; c880 and c7552
+  // carry the 3- and 4-input cells. 200 vectors = three full passes plus
+  // an 8-lane tail.
+  expect_mc_backends_identical(netlist::make_benchmark("c880", lib()), 200, 7);
+  expect_mc_backends_identical(netlist::make_benchmark("c7552", lib()), 200, 7);
 }
 
 TEST(MonteCarloLeakage, ParallelBackendsBitIdenticalAcrossThreadCounts) {
@@ -321,42 +326,99 @@ TEST(Simd, ScatterAddMatchesPortableBitExactly) {
   }
 }
 
+/// Lane-major scalar reference for simd::select_add: lane by lane, one add
+/// per gate in plan order, state bit p = bit `lane` of pin p's word.
+void select_add_reference(double* totals, const std::vector<std::uint64_t>& words,
+                          const std::vector<simd::SelectGate>& plan) {
+  for (int lane = 0; lane < 64; ++lane) {
+    double total = totals[lane];
+    for (const simd::SelectGate& gate : plan) {
+      std::uint32_t state = 0;
+      for (std::uint32_t p = 0; p < gate.num_pins; ++p) {
+        if ((words[gate.pins[p]] >> lane) & 1u) state |= 1u << p;
+      }
+      total += gate.leak[state];
+    }
+    totals[lane] = total;
+  }
+}
+
 TEST(Simd, SelectAddMatchesPortableBitExactly) {
   Rng rng(83);
-  for (int trial = 0; trial < 200; ++trial) {
-    alignas(32) double a[64];
-    alignas(32) double b[64];
+  constexpr std::uint32_t kWords = 12;
+  for (int trial = 0; trial < 50; ++trial) {
+    // One plan mixing every fanin count 0..4, pins drawn at random (and
+    // repeated) from a small word pool, leak rows of mixed magnitudes.
+    std::vector<std::uint64_t> words(kWords);
+    for (std::uint64_t& w : words) w = rng.next_u64();
+    const int num_gates = 1 + static_cast<int>(rng.next_below(40));
+    std::vector<std::vector<double>> rows(static_cast<std::size_t>(num_gates));
+    std::vector<simd::SelectGate> plan(static_cast<std::size_t>(num_gates));
+    for (int g = 0; g < num_gates; ++g) {
+      simd::SelectGate& gate = plan[static_cast<std::size_t>(g)];
+      gate.num_pins = static_cast<std::uint32_t>(g < 5 ? g : rng.next_below(5));
+      for (std::uint32_t p = 0; p < gate.num_pins; ++p) {
+        gate.pins[p] = static_cast<std::uint32_t>(rng.next_below(kWords));
+      }
+      std::vector<double>& row = rows[static_cast<std::size_t>(g)];
+      for (std::uint32_t s = 0; s < (1u << gate.num_pins); ++s) {
+        row.push_back((rng.next_double() - 0.3) * std::pow(10.0, (g + trial) % 7));
+      }
+      gate.leak = row.data();
+    }
+    alignas(32) double dispatched[64];
+    alignas(32) double portable[64];
+    alignas(32) double reference[64];
     for (int i = 0; i < 64; ++i) {
+      // -0.0 starting lanes: a kernel that skipped or reordered an add
+      // could leave them bit-different from the reference.
       const double v = (rng.next_double() - 0.5) * std::pow(10.0, trial % 7);
-      a[i] = (i % 7 == 0) ? -0.0 : v;
-      b[i] = a[i];
+      dispatched[i] = (i % 7 == 0) ? -0.0 : v;
+      portable[i] = dispatched[i];
+      reference[i] = dispatched[i];
     }
-    const std::uint64_t w0 = rng.next_u64();
-    const std::uint64_t w1 = rng.next_u64();
-    double leak[4];
-    for (double& l : leak) l = rng.next_double() * 1e3;
-    if (trial % 2 == 0) {
-      simd::select_add1(a, w0, leak);
-      simd::select_add1_portable(b, w0, leak);
-    } else {
-      simd::select_add2(a, w0, w1, leak);
-      simd::select_add2_portable(b, w0, w1, leak);
-    }
-    ASSERT_EQ(0, std::memcmp(a, b, sizeof(a))) << "trial " << trial;
+    simd::select_add(dispatched, words.data(), plan.data(), plan.size());
+    simd::select_add_portable(portable, words.data(), plan.data(), plan.size());
+    select_add_reference(reference, words, plan);
+    // All 64 lanes: every 16-lane register block of the AVX2 path.
+    ASSERT_EQ(0, std::memcmp(dispatched, reference, sizeof(reference)))
+        << "trial " << trial;
+    ASSERT_EQ(0, std::memcmp(portable, reference, sizeof(reference)))
+        << "trial " << trial;
   }
 }
 
 TEST(Simd, SelectAddStateIndexingMatchesLocalState) {
-  // select_add2's state index must follow the cellkit convention
-  // (state bit p = pin p): lane value = leak[bit(w0) | bit(w1) << 1].
-  alignas(32) double totals[64] = {};
-  const double leak[4] = {1.0, 10.0, 100.0, 1000.0};
-  // lane 0: (0,0)  lane 1: (1,0)  lane 2: (0,1)  lane 3: (1,1)
-  simd::select_add2(totals, 0b1010ULL, 0b1100ULL, leak);
-  EXPECT_EQ(1.0, totals[0]);
-  EXPECT_EQ(10.0, totals[1]);
-  EXPECT_EQ(100.0, totals[2]);
-  EXPECT_EQ(1000.0, totals[3]);
+  // The state index must follow the cellkit convention (state bit p =
+  // pin p). Word 5 - b holds bit b of every lane index and pin p reads
+  // word 5 - p, so lane l of a k-pin gate is in state l mod 2^k; the
+  // reversed word order checks the pin indirection too.
+  std::vector<std::uint64_t> words(6, 0);
+  for (int lane = 0; lane < 64; ++lane) {
+    for (int bit = 0; bit < 6; ++bit) {
+      if ((lane >> bit) & 1) words[static_cast<std::size_t>(5 - bit)] |= 1ULL << lane;
+    }
+  }
+  const double leak[16] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                           4096, 8192, 16384, 32768};
+  for (std::uint32_t k = 1; k <= simd::kMaxSelectPins; ++k) {
+    simd::SelectGate gate;
+    gate.num_pins = k;
+    for (std::uint32_t p = 0; p < k; ++p) gate.pins[p] = 5 - p;
+    gate.leak = leak;
+    for (const bool dispatched : {true, false}) {
+      alignas(32) double totals[64] = {};
+      if (dispatched) {
+        simd::select_add(totals, words.data(), &gate, 1);
+      } else {
+        simd::select_add_portable(totals, words.data(), &gate, 1);
+      }
+      for (int lane = 0; lane < 64; ++lane) {
+        ASSERT_EQ(leak[static_cast<std::uint32_t>(lane) & ((1u << k) - 1)], totals[lane])
+            << k << " pins, lane " << lane << (dispatched ? " dispatched" : " portable");
+      }
+    }
+  }
 }
 
 TEST(Simd, LocateHiMatchesPortableForAllSizesAndQueries) {

@@ -7,6 +7,7 @@
 #include "sim/leakage_eval.hpp"
 #include "sim/probability.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace svtox::sim {
 namespace {
@@ -21,7 +22,7 @@ netlist::Netlist one_gate(const char* cell, int arity) {
   netlist::Netlist n("pg", &lib());
   std::vector<int> ins;
   for (int i = 0; i < arity; ++i) {
-    const int s = n.add_signal("i" + std::to_string(i));
+    const int s = n.add_signal(numbered("i", i));
     n.mark_input(s);
     ins.push_back(s);
   }
@@ -56,7 +57,7 @@ TEST(Probability, ExactOnFanoutFreeTrees) {
   netlist::Netlist n("tree", &lib());
   std::vector<int> level;
   for (int i = 0; i < 8; ++i) {
-    const int s = n.add_signal("i" + std::to_string(i));
+    const int s = n.add_signal(numbered("i", i));
     n.mark_input(s);
     level.push_back(s);
   }
@@ -64,8 +65,8 @@ TEST(Probability, ExactOnFanoutFreeTrees) {
   while (level.size() > 1) {
     std::vector<int> next;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      const int out = n.add_signal("t" + std::to_string(counter));
-      n.add_gate("g" + std::to_string(counter++), "NAND2", {level[i], level[i + 1]}, out);
+      const int out = n.add_signal(numbered("t", counter));
+      n.add_gate(numbered("g", counter++), "NAND2", {level[i], level[i + 1]}, out);
       next.push_back(out);
     }
     level = std::move(next);

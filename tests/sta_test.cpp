@@ -9,6 +9,7 @@
 #include "sta/sta.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace svtox::sta {
 namespace {
@@ -24,8 +25,8 @@ netlist::Netlist inverter_chain(int length) {
   int prev = n.add_signal("in");
   n.mark_input(prev);
   for (int i = 0; i < length; ++i) {
-    const int next = n.add_signal("n" + std::to_string(i));
-    n.add_gate("g" + std::to_string(i), "INV", {prev}, next);
+    const int next = n.add_signal(numbered("n", i));
+    n.add_gate(numbered("g", i), "INV", {prev}, next);
     prev = next;
   }
   n.mark_output(prev);
@@ -162,7 +163,7 @@ netlist::Netlist fanout_fixture(const liberty::Library& library) {
   netlist::Netlist n("fanout", &library);
   std::vector<int> inputs;
   for (int i = 0; i < 4; ++i) {
-    inputs.push_back(n.add_signal("i" + std::to_string(i)));
+    inputs.push_back(n.add_signal(numbered("i", i)));
     n.mark_input(inputs.back());
   }
   int id = 0;
@@ -473,11 +474,11 @@ double scan_delay_ps(const netlist::Netlist& n, const TimingState& timing) {
 /// output is observed (sinks included), so the distinct observe points
 /// equal the gate count; the first one is marked twice.
 netlist::Netlist observed_everywhere(int num_gates, std::uint64_t seed) {
-  netlist::Netlist n("obs" + std::to_string(num_gates), &lib());
+  netlist::Netlist n(numbered("obs", num_gates), &lib());
   Rng rng(seed);
   std::vector<int> signals;
   for (int i = 0; i < 8; ++i) {
-    signals.push_back(n.add_signal("i" + std::to_string(i)));
+    signals.push_back(n.add_signal(numbered("i", i)));
     n.mark_input(signals.back());
   }
   auto pick = [&] {
@@ -486,16 +487,16 @@ netlist::Netlist observed_everywhere(int num_gates, std::uint64_t seed) {
     return signals[signals.size() - 1 - rng.next_below(window)];
   };
   for (int g = 0; g < num_gates; ++g) {
-    const int out = n.add_signal("n" + std::to_string(g));
+    const int out = n.add_signal(numbered("n", g));
     const std::uint64_t kind = rng.next_below(3);
     if (kind == 0) {
-      n.add_gate("g" + std::to_string(g), "INV", {pick()}, out);
+      n.add_gate(numbered("g", g), "INV", {pick()}, out);
     } else {
       const int a = pick();
       int b = pick();
       if (b == a) b = signals[rng.next_below(signals.size())];
       if (b == a) b = signals.front() == a ? signals.back() : signals.front();
-      n.add_gate("g" + std::to_string(g), kind == 1 ? "NAND2" : "NOR2", {a, b}, out);
+      n.add_gate(numbered("g", g), kind == 1 ? "NAND2" : "NOR2", {a, b}, out);
     }
     n.mark_output(out);
     signals.push_back(out);
