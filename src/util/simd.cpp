@@ -62,7 +62,7 @@ __attribute__((target("avx2"))) void scatter_add_avx2(double* totals,
 /// base - p puts lane base+l's bit at bit l+p, so a per-lane shift by l and
 /// a mask of bit p place it straight into the state index.
 template <std::uint32_t K>
-[[gnu::target("avx2"), gnu::always_inline]] inline void select_gate(
+__attribute__((target("avx2"), always_inline)) inline void select_gate(
     const SelectGate& gate, const std::uint64_t* words, int base,
     const __m256i (&lane_shift)[4], __m256d (&acc)[4]) {
   __m256i pin[K > 0 ? K : 1];

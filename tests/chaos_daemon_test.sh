@@ -192,7 +192,14 @@ mkdir -p "$WORK/out_failover"
     --output-dir "$WORK/out_failover" > "$WORK/results_failover.json" \
     2> "$WORK/batch_failover.log" &
 BATCH_PID=$!
-sleep 2
+# Kill once a ledger journals a completed subtree, not after a fixed
+# delay: a ledger written before any subtree progress restores nothing,
+# so a fixed delay made the adoption assertion depend on machine load.
+for _ in $(seq 1 600); do
+  grep -qs '"done":true' "$WORK/ckpt_fo"/*.ledger && break
+  kill -0 "$BATCH_PID" 2>/dev/null || break
+  sleep 0.05
+done
 kill -KILL "$CO_PID" 2>/dev/null || echo "note: coordinator finished early" >&2
 forget_pid "$CO_PID"
 ls "$WORK/ckpt_fo"/*.ledger >/dev/null 2>&1 \
