@@ -36,6 +36,7 @@
 #include <sys/resource.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -332,6 +333,8 @@ int main(int argc, char** argv) {
   doc.set("bench", "scale");
   svc::Json context = svc::Json::object();
   context.set("svtox_build_type", bench::build_type());
+  context.set("hardware_threads",
+              static_cast<int>(std::thread::hardware_concurrency()));
   context.set("vectors", vectors);
   context.set("word_sweeps", sweeps);
   context.set("flips", flips);

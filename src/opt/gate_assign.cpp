@@ -1,7 +1,11 @@
 #include "opt/gate_assign.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <numeric>
+#include <thread>
+#include <utility>
 
 #include "sim/sim.hpp"
 #include "util/error.hpp"
@@ -64,7 +68,169 @@ void reset_to_fastest(const netlist::Netlist& netlist, sim::CircuitConfig& confi
   }
 }
 
+/// The descent over gates[0, count): at each gate, its menu's variants in
+/// ascending leakage until `trial(g)` accepts one. A trial re-times the
+/// state for config[g]'s new variant and, when it returns false, has
+/// already reverted it.
+template <class Trial>
+void descend(const AssignmentProblem& problem, const std::vector<GateContext>& contexts,
+             const int* gates, std::size_t count, sim::CircuitConfig& config,
+             Trial&& trial) {
+  const netlist::Netlist& netlist = problem.netlist();
+  for (std::size_t i = 0; i < count; ++i) {
+    const int g = gates[i];
+    const GateContext& ctx = contexts[static_cast<std::size_t>(g)];
+    const VariantMenu& menu = problem.menu(g, ctx.canonical_state);
+    const int fastest = netlist.cell_of(g).fastest_variant();
+    // Ascending leakage: the first delay-feasible variant wins.
+    for (int v : menu.by_leakage) {
+      if (v == fastest) break;  // current selection; nothing left to gain
+      config[static_cast<std::size_t>(g)].variant = v;
+      if (trial(g)) break;
+      config[static_cast<std::size_t>(g)].variant = fastest;
+    }
+  }
+}
+
+/// The serial descent on `timing`, which holds the analysis of `config`.
+void descend_serial(const AssignmentProblem& problem,
+                    const std::vector<GateContext>& contexts,
+                    const std::vector<int>& gates, sim::CircuitConfig& config,
+                    sta::TimingState& timing,
+                    const std::vector<double>* downstream_lb_ps) {
+  const double ceiling = problem.constraint_ps() + kDelaySlackEps;
+  sta::TimingUndo undo;  // hoisted: one allocation serves every trial
+  descend(problem, contexts, gates.data(), gates.size(), config, [&](int g) {
+    undo.entries.clear();
+    const double new_delay =
+        downstream_lb_ps == nullptr
+            ? timing.update_after_gate_change(config, g, &undo)
+            : timing.update_after_gate_change_bounded(config, g, *downstream_lb_ps,
+                                                      ceiling, &undo);
+    if (new_delay <= ceiling) return true;
+    timing.revert(undo);
+    return false;
+  });
+}
+
+/// The serial descent split into gate lanes that run on up to `threads`
+/// threads over the one `timing` (which holds the analysis of `config`).
+/// Each lane visits its gates in the global order `gates` and owns the
+/// config entries and signals of its component, so no two threads write
+/// one object. A lane's trial tests only the observe points it changed;
+/// that equals the circuit-delay test because every other observe point
+/// already meets the ceiling. Returns false, having changed nothing, when
+/// that premise fails (all-fastest delay above the ceiling) or there is
+/// only one lane.
+bool descend_in_lanes(const AssignmentProblem& problem,
+                      const std::vector<GateContext>& contexts,
+                      const std::vector<int>& gates, sim::CircuitConfig& config,
+                      sta::TimingState& timing, int threads) {
+  const double ceiling = problem.constraint_ps() + kDelaySlackEps;
+  if (timing.circuit_delay_ps() > ceiling) return false;
+  const GateLanes lanes = gate_lanes(problem.netlist());
+  if (lanes.count < 2) return false;
+
+  // Bucket the visit order per lane; the stable counting sort keeps each
+  // lane in the global order.
+  const std::size_t num_lanes = static_cast<std::size_t>(lanes.count);
+  const auto lane_of = [&](int g) {
+    return static_cast<std::size_t>(lanes.lane_of[static_cast<std::size_t>(g)]);
+  };
+  std::vector<std::size_t> offset(num_lanes + 1, 0);
+  for (int g : gates) ++offset[lane_of(g) + 1];
+  std::partial_sum(offset.begin(), offset.end(), offset.begin());
+  std::vector<int> lane_gates(gates.size());
+  std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+  for (int g : gates) lane_gates[fill[lane_of(g)]++] = g;
+  // Largest lanes first, so the longest one starts at once.
+  std::vector<std::size_t> queue(num_lanes);
+  std::iota(queue.begin(), queue.end(), std::size_t{0});
+  std::stable_sort(queue.begin(), queue.end(), [&](std::size_t a, std::size_t b) {
+    return offset[a + 1] - offset[a] > offset[b + 1] - offset[b];
+  });
+
+  const std::size_t workers = static_cast<std::size_t>(std::min(threads, lanes.count));
+  std::vector<sta::TimingState::Lane> scratch(workers);
+  std::vector<std::exception_ptr> errors(workers);
+  std::atomic<std::size_t> next{0};
+  auto drain = [&](std::size_t w) {
+    try {
+      for (std::size_t i = next.fetch_add(1); i < num_lanes; i = next.fetch_add(1)) {
+        const std::size_t l = queue[i];
+        descend(problem, contexts, lane_gates.data() + offset[l],
+                offset[l + 1] - offset[l], config, [&](int g) {
+                  if (timing.update_in_lane(config, g, ceiling, scratch[w])) return true;
+                  timing.revert_in_lane(scratch[w]);
+                  return false;
+                });
+      }
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> pool;  // joined on scope exit, thrown or not
+    pool.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(drain, w);
+    drain(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  timing.end_lanes();
+  return true;
+}
+
+/// The Solution of a finished descent: `config` and the delay `timing`
+/// holds for it.
+Solution descent_solution(const AssignmentProblem& problem,
+                          const std::vector<bool>& sleep_vector,
+                          const std::vector<GateContext>& contexts,
+                          sim::CircuitConfig config, const sta::TimingState& timing) {
+  Solution solution;
+  solution.sleep_vector = sleep_vector;
+  solution.config = std::move(config);
+  solution.leakage_na = config_leakage_na(problem.netlist(), contexts, solution.config);
+  solution.delay_ps = timing.circuit_delay_ps();
+  solution.states_explored = 1;
+  return solution;
+}
+
 }  // namespace
+
+GateLanes gate_lanes(const netlist::Netlist& netlist) {
+  // Union-find over gates in `lane_of` itself: the root of a set is its
+  // smallest gate, so every link points to a smaller gate, and one
+  // ascending pass turns the links into lane ids by first appearance.
+  GateLanes lanes;
+  std::vector<int>& link = lanes.lane_of;
+  link.resize(static_cast<std::size_t>(netlist.num_gates()));
+  std::iota(link.begin(), link.end(), 0);
+  const auto find = [&](int g) {
+    while (link[static_cast<std::size_t>(g)] != g) {
+      int& up = link[static_cast<std::size_t>(g)];
+      up = link[static_cast<std::size_t>(up)];  // path halving
+      g = up;
+    }
+    return g;
+  };
+  for (int g = 0; g < netlist.num_gates(); ++g) {
+    for (int f : netlist.gate(g).fanins) {
+      const int d = netlist.driver(f);
+      if (d < 0) continue;
+      const int a = find(g);
+      const int b = find(d);
+      link[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+    }
+  }
+  for (int g = 0; g < netlist.num_gates(); ++g) {
+    const int up = link[static_cast<std::size_t>(g)];
+    link[static_cast<std::size_t>(g)] =
+        up == g ? lanes.count++ : link[static_cast<std::size_t>(up)];
+  }
+  return lanes;
+}
 
 std::vector<GateContext> build_contexts(const AssignmentProblem& problem,
                                         const std::vector<bool>& sleep_vector) {
@@ -105,48 +271,18 @@ Solution assign_gates_greedy(const AssignmentProblem& problem,
                              const sta::TimingSnapshot& baseline,
                              const std::vector<double>* downstream_lb_ps) {
   Timer timer;
-  const netlist::Netlist& netlist = problem.netlist();
-  const double ceiling = problem.constraint_ps() + kDelaySlackEps;
   timing.restore(baseline);
-  double delay = timing.circuit_delay_ps();
-
-  sta::TimingUndo undo;  // hoisted: one allocation serves every trial
-  for (int g : gate_visit_order(problem, contexts, order)) {
-    const GateContext& ctx = contexts[static_cast<std::size_t>(g)];
-    const VariantMenu& menu = problem.menu(g, ctx.canonical_state);
-    const int fastest = netlist.cell_of(g).fastest_variant();
-    // Ascending leakage: the first delay-feasible variant wins.
-    for (int v : menu.by_leakage) {
-      if (v == fastest) break;  // current selection; nothing left to gain
-      config[static_cast<std::size_t>(g)].variant = v;
-      undo.entries.clear();
-      const double new_delay =
-          downstream_lb_ps == nullptr
-              ? timing.update_after_gate_change(config, g, &undo)
-              : timing.update_after_gate_change_bounded(config, g, *downstream_lb_ps,
-                                                        ceiling, &undo);
-      if (new_delay <= ceiling) {
-        delay = new_delay;
-        break;
-      }
-      timing.revert(undo);
-      config[static_cast<std::size_t>(g)].variant = fastest;
-    }
-  }
-
-  Solution solution;
-  solution.sleep_vector = sleep_vector;
-  solution.config = config;
-  solution.leakage_na = config_leakage_na(netlist, contexts, solution.config);
-  solution.delay_ps = delay;
-  solution.states_explored = 1;
+  descend_serial(problem, contexts, gate_visit_order(problem, contexts, order), config,
+                 timing, downstream_lb_ps);
+  Solution solution = descent_solution(problem, sleep_vector, contexts, config, timing);
   solution.runtime_s = timer.seconds();
-  reset_to_fastest(netlist, config);
+  reset_to_fastest(problem.netlist(), config);
   return solution;
 }
 
 Solution assign_gates_greedy(const AssignmentProblem& problem,
-                             const std::vector<bool>& sleep_vector, GateOrder order) {
+                             const std::vector<bool>& sleep_vector, GateOrder order,
+                             int threads) {
   Timer timer;
   const std::vector<GateContext> contexts = build_contexts(problem, sleep_vector);
   sim::CircuitConfig config = initial_config(problem.netlist(), contexts);
@@ -154,10 +290,14 @@ Solution assign_gates_greedy(const AssignmentProblem& problem,
   timing.set_boundary(problem.boundary());
   timing.analyze(config);
   timing.use_load_slices(&problem.load_slices());
-  sta::TimingSnapshot baseline;
-  timing.snapshot(baseline);
+  const std::vector<int> gates = gate_visit_order(problem, contexts, order);
+  if (threads <= 1 ||
+      !descend_in_lanes(problem, contexts, gates, config, timing, threads)) {
+    descend_serial(problem, contexts, gates, config, timing, nullptr);
+  }
+  // The config moves into the solution: no second full copy is held.
   Solution solution =
-      assign_gates_greedy(problem, sleep_vector, order, contexts, config, timing, baseline);
+      descent_solution(problem, sleep_vector, contexts, std::move(config), timing);
   solution.runtime_s = timer.seconds();
   return solution;
 }

@@ -9,6 +9,13 @@
 // leaf-invariant setup -- full 2-valued simulation, canonicalization, a
 // heap-allocated TimingState and the all-fastest analyze() -- across the
 // thousands of leaves it visits; both forms return bit-identical results.
+//
+// The from-scratch greedy can also run in lanes (gate_lanes): a trial on
+// a gate re-times only the gates it reaches, which read only signals of
+// the gate's own weakly connected component or control points, so each
+// component descends on its own thread over one shared timing state, in
+// the global visit order restricted to it. Same configs, leakage and
+// delay bits as the serial descent.
 #pragma once
 
 #include <cstdint>
@@ -46,16 +53,33 @@ std::vector<GateContext> build_contexts(const AssignmentProblem& problem,
 sim::CircuitConfig initial_config(const netlist::Netlist& netlist,
                                   const std::vector<GateContext>& contexts);
 
+/// Lanes of the greedy descent: the weakly connected components of the
+/// gate graph, where gates join only through gate->driver edges (two gates
+/// that share only a control point sit in separate lanes).
+struct GateLanes {
+  int count = 0;
+  /// Per gate, in [0, count); lanes are numbered by first appearance in
+  /// gate-index order.
+  std::vector<int> lane_of;
+};
+
+GateLanes gate_lanes(const netlist::Netlist& netlist);
+
 /// The paper's single downward gate-tree traversal: gates are visited once;
 /// at each gate the variants applicable to its (canonicalized) local state
 /// are tried in ascending leakage order and the first one that keeps the
 /// circuit delay within the constraint is kept. Delay feasibility is checked
 /// with incremental STA (accepting a variant never revisits earlier gates).
 ///
+/// With `threads` > 1 the lanes (gate_lanes) descend on up to that many
+/// threads, sharing one timing state; the result is bit-identical to one
+/// thread. A circuit with one lane, or whose all-fastest delay already
+/// exceeds the constraint, takes the serial descent.
+///
 /// Returns the full Solution for `sleep_vector` (config, leakage, delay).
 Solution assign_gates_greedy(const AssignmentProblem& problem,
                              const std::vector<bool>& sleep_vector,
-                             GateOrder order = GateOrder::kBySavings);
+                             GateOrder order = GateOrder::kBySavings, int threads = 1);
 
 /// Greedy gate-tree search over caller-owned reusable state. Preconditions:
 /// `contexts` matches `sleep_vector`, `config` is all-fastest variants with

@@ -350,6 +350,41 @@ double TimingState::update_after_gate_change_bounded(
 double TimingState::propagate(const sim::CircuitConfig& config, int gate,
                               const double* downstream_lb_ps, double ceiling_ps,
                               TimingUndo* undo) {
+  const std::size_t first_entry = undo != nullptr ? undo->entries.size() : 0;
+  if (!propagate_cone(config, gate, downstream_lb_ps, ceiling_ps, undo, pending_bits_)) {
+    mark_all_dirty();
+    return 1e300;
+  }
+  // Dirty blocks come from the undo entries this update appended, not from
+  // a hook in recompute_gate, which would tax every re-evaluation.
+  if (undo != nullptr) {
+    mark_dirty(*undo, first_entry);
+  } else {
+    mark_all_dirty();
+  }
+  return circuit_delay_ps();
+}
+
+bool TimingState::update_in_lane(const sim::CircuitConfig& config, int gate,
+                                 double ceiling_ps, Lane& lane) {
+  lane.undo.entries.clear();
+  propagate_cone(config, gate, nullptr, 0.0, &lane.undo, lane.pending_bits);
+  // The same entries mark_dirty scans: the observe points this update
+  // changed. Every other observe point kept its arrival.
+  for (const TimingUndo::Entry& entry : lane.undo.entries) {
+    if (obs_block_[static_cast<std::size_t>(entry.signal)] < 0) continue;
+    const SignalTiming& t = sig_[static_cast<std::size_t>(entry.signal)];
+    if (std::max(t.at_rise, t.at_fall) > ceiling_ps) return false;
+  }
+  return true;
+}
+
+void TimingState::revert_in_lane(const Lane& lane) { replay(lane.undo); }
+
+bool TimingState::propagate_cone(const sim::CircuitConfig& config, int gate,
+                                 const double* downstream_lb_ps, double ceiling_ps,
+                                 TimingUndo* undo,
+                                 std::vector<std::uint64_t>& pending_bits) {
   // Margin between the abort test and the caller's feasibility test. The
   // bound chain is exact in real arithmetic; the margin only has to absorb
   // double rounding across a few thousand adds/maxes (~1e-10 ps on
@@ -360,32 +395,32 @@ double TimingState::propagate(const sim::CircuitConfig& config, int gate,
 
   // Topo ranks are a permutation of the gates, so visiting pending ranks
   // in ascending order re-evaluates each affected gate once, after all its
-  // fanins settled. Pending ranks live in a bitmap (member scratch -- this
-  // runs thousands of times per leaf): pop = clear the lowest set bit at or
-  // after the cursor, push = set a bit, which also dedups for free. Every
-  // sink's rank exceeds its driver's, so pushes always land at or ahead of
-  // the cursor word and nothing is ever missed; the scan stops at the
-  // highest word a push reached, so a scan costs ~(cone's rank range)/64
-  // loads.
+  // fanins settled. Pending ranks live in a bitmap (member or lane
+  // scratch -- this runs thousands of times per leaf): pop = clear the
+  // lowest set bit at or after the cursor, push = set a bit, which also
+  // dedups for free. Every sink's rank exceeds its driver's, so pushes
+  // always land at or ahead of the cursor word and nothing is ever missed;
+  // the scan stops at the highest word a push reached, so a scan costs
+  // ~(cone's rank range)/64 loads.
   const std::vector<int>& rank_to_gate = netlist_->topological_order();
   const std::size_t num_words =
       (static_cast<std::size_t>(netlist_->num_gates()) + 63) / 64;
-  if (pending_bits_.size() != num_words) pending_bits_.assign(num_words, 0);
-  const std::size_t first_entry = undo != nullptr ? undo->entries.size() : 0;
+  if (pending_bits.size() != num_words) pending_bits.assign(num_words, 0);
+  std::uint64_t* pending = pending_bits.data();
 
   const std::uint32_t start_rank =
       static_cast<std::uint32_t>(topo_rank_[static_cast<std::size_t>(gate)]);
   std::size_t word = start_rank >> 6;
   std::size_t last_word = word;
-  pending_bits_[word] |= std::uint64_t{1} << (start_rank & 63);
+  pending[word] |= std::uint64_t{1} << (start_rank & 63);
 
   while (word <= last_word) {
-    const std::uint64_t bits = pending_bits_[word];
+    const std::uint64_t bits = pending[word];
     if (bits == 0) {
       ++word;
       continue;
     }
-    pending_bits_[word] = bits & (bits - 1);  // clear lowest set bit
+    pending[word] = bits & (bits - 1);  // clear lowest set bit
     const std::size_t rank = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
     const int g = rank_to_gate[rank];
     if (!recompute_gate(config, g, undo)) continue;
@@ -397,26 +432,16 @@ double TimingState::propagate(const sim::CircuitConfig& config, int gate,
         std::max(sig_[out].at_rise, sig_[out].at_fall) + downstream_lb_ps[out] >
             ceiling_ps + kAbortMarginPs) {
       // Unvisited pending ranks all sit in [word, last_word].
-      std::fill(pending_bits_.begin() + static_cast<std::ptrdiff_t>(word),
-                pending_bits_.begin() + static_cast<std::ptrdiff_t>(last_word) + 1,
-                std::uint64_t{0});
-      mark_all_dirty();
-      return 1e300;
+      std::fill(pending + word, pending + last_word + 1, std::uint64_t{0});
+      return false;
     }
     for (std::uint32_t i = sink_offset_[out]; i < sink_offset_[out + 1]; ++i) {
       const std::uint32_t r = sink_rank_[i];
-      pending_bits_[r >> 6] |= std::uint64_t{1} << (r & 63);
+      pending[r >> 6] |= std::uint64_t{1} << (r & 63);
       last_word = std::max<std::size_t>(last_word, r >> 6);
     }
   }
-  // Dirty blocks come from the undo entries this update appended, not from
-  // a hook in recompute_gate, which would tax every re-evaluation.
-  if (undo != nullptr) {
-    mark_dirty(*undo, first_entry);
-  } else {
-    mark_all_dirty();
-  }
-  return circuit_delay_ps();
+  return true;
 }
 
 void TimingState::mark_dirty(const TimingUndo& undo, std::size_t first) {
@@ -447,10 +472,14 @@ void TimingState::restore(const TimingSnapshot& snap) {
 }
 
 void TimingState::revert(const TimingUndo& undo) {
+  replay(undo);
+  mark_dirty(undo, 0);
+}
+
+void TimingState::replay(const TimingUndo& undo) {
   for (auto it = undo.entries.rbegin(); it != undo.entries.rend(); ++it) {
     sig_[static_cast<std::size_t>(it->signal)] = it->prev;
   }
-  mark_dirty(undo, 0);
 }
 
 double TimingState::circuit_delay_ps() const {

@@ -130,10 +130,18 @@ struct BoundaryTiming {
 
 /// Mutable timing state of one netlist under a circuit configuration.
 /// Single-owner: not safe for concurrent use, not even by readers only,
-/// because circuit_delay_ps() refreshes cached block maxima.
+/// because circuit_delay_ps() refreshes cached block maxima. The one
+/// exception is the lane API (update_in_lane), under its stated contract.
 class TimingState {
  public:
   explicit TimingState(const netlist::Netlist& netlist);
+
+  /// Scratch of one lane: its own pending-rank bitmap and undo log, so
+  /// several lanes can update one state at once (update_in_lane).
+  struct Lane {
+    std::vector<std::uint64_t> pending_bits;
+    TimingUndo undo;
+  };
 
   /// Full (from-scratch) analysis under `config`. Returns circuit delay
   /// [ps]. `delay_scale` multiplies every stage delay and slew; it models
@@ -170,6 +178,29 @@ class TimingState {
   double update_after_gate_change_bounded(const sim::CircuitConfig& config, int gate,
                                           const std::vector<double>& downstream_lb_ps,
                                           double ceiling_ps, TimingUndo* undo);
+
+  /// update_after_gate_change for one of several lanes sharing this state.
+  /// Threads may call it at once on one state when the gates they change
+  /// lie in distinct weakly connected components of the gate graph (gates
+  /// joined through gate->driver edges) and each passes its own `lane`:
+  /// an update writes only the signals of `gate`'s fanout cone, which stay
+  /// inside its component, and reads only those and control points, which
+  /// updates never write. The lane's undo log is cleared, then records the
+  /// update; the shared delay cache is left alone. Returns true when every
+  /// observe point the update changed has a worst arrival <= `ceiling_ps`.
+  /// If every observe point met the ceiling before the update, that is
+  /// exactly circuit_delay_ps() <= ceiling_ps. Undo with revert_in_lane;
+  /// once every lane is done, call end_lanes() before any other query.
+  bool update_in_lane(const sim::CircuitConfig& config, int gate, double ceiling_ps,
+                      Lane& lane);
+
+  /// Restores the signals `lane`'s last update changed (revert() without
+  /// touching the shared delay cache).
+  void revert_in_lane(const Lane& lane);
+
+  /// Ends a round of lane updates: the next circuit_delay_ps() rescans
+  /// every block.
+  void end_lanes() { mark_all_dirty(); }
 
   /// Attaches load-sliced tables (caller-owned, must outlive this state;
   /// pass nullptr to detach). Incremental updates then evaluate gates
@@ -227,12 +258,23 @@ class TimingState {
   /// Recomputes `gate`'s output timing; returns true if anything changed.
   bool recompute_gate(const sim::CircuitConfig& config, int gate, TimingUndo* undo);
 
-  /// The one propagation loop behind both update forms: re-evaluates the
-  /// fanout cone of `gate` in ascending topological rank. With a non-null
-  /// `downstream_lb_ps` it aborts (returning 1e300) as soon as a settled
-  /// arrival plus its bound exceeds `ceiling_ps`; with null it never does.
+  /// Both update forms: propagate_cone over the member bitmap, then the
+  /// delay cache. Returns the new circuit delay, or 1e300 after an abort.
   double propagate(const sim::CircuitConfig& config, int gate,
                    const double* downstream_lb_ps, double ceiling_ps, TimingUndo* undo);
+
+  /// The one propagation loop behind every update form: re-evaluates the
+  /// fanout cone of `gate` in ascending topological rank, queueing ranks
+  /// in `pending_bits` (left all-zero on return). With a non-null
+  /// `downstream_lb_ps` it aborts (returning false) as soon as a settled
+  /// arrival plus its bound exceeds `ceiling_ps`; with null it never does.
+  /// Touches no delay-cache state.
+  bool propagate_cone(const sim::CircuitConfig& config, int gate,
+                      const double* downstream_lb_ps, double ceiling_ps, TimingUndo* undo,
+                      std::vector<std::uint64_t>& pending_bits);
+
+  /// Replays `undo` in reverse (revert() minus the delay cache).
+  void replay(const TimingUndo& undo);
 
   /// Marks the block of every observed signal among `undo.entries[first..)`.
   void mark_dirty(const TimingUndo& undo, std::size_t first);
@@ -253,7 +295,7 @@ class TimingState {
   std::vector<std::uint32_t> sink_offset_;  // per signal, +1 sentinel
   std::vector<std::uint32_t> sink_rank_;
   /// Scratch of propagate(): pending topo ranks as a bitmap (bit r = rank
-  /// r queued). Both exits leave it all-zero for the next call.
+  /// r queued). Every exit leaves it all-zero for the next call.
   std::vector<std::uint64_t> pending_bits_;
   // Block-max circuit delay. obs_signals_ holds the distinct observe
   // points in ascending signal id; block b is obs_signals_[64b .. 64b+64).

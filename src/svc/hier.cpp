@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -91,9 +92,6 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   }
 
   HierResult out;
-  out.budget = sta::compute_delay_budget(netlist);
-  out.constraint_ps = out.budget.constraint_ps(options.penalty_fraction);
-
   const std::vector<opt::Partition> partitions =
       opt::partition_netlist(netlist, options.partition);
   const std::size_t num_parts = partitions.size();
@@ -148,7 +146,7 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   sched_options.queue_capacity = num_parts + 1;
   sched_options.cache_capacity = std::max<std::size_t>(1024, num_parts);
   sched_options.cache_dir = options.cache_dir;
-  Scheduler scheduler(sched_options);
+  auto scheduler = std::make_unique<Scheduler>(sched_options);
 
   auto base_spec = [&](std::size_t p) {
     JobSpec spec;
@@ -245,14 +243,14 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
       if (seed) {
         spec.boundary_timing = boundary_timing_string(part, netlist, timing);
       }
-      jobs.push_back(scheduler.submit(spec));
+      jobs.push_back(scheduler->submit(spec));
     }
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::size_t p = batch[i];
       const opt::Partition& part = partitions[p];
       const opt::Solution sub =
-          parse_cone_solution(netlist, texts[p], part, scheduler.wait(jobs[i]));
+          parse_cone_solution(netlist, texts[p], part, scheduler->wait(jobs[i]));
       out.solution.states_explored += sub.states_explored;
       for (std::size_t j = 0; j < part.boundary_inputs.size(); ++j) {
         const int cp = cp_index[static_cast<std::size_t>(part.boundary_inputs[j])];
@@ -269,15 +267,33 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     }
   }
 
+  const SchedulerStats stats = scheduler->stats();
+  out.unique_solves = stats.executed;
+  out.cache_hits = stats.cache.hits + stats.cache.disk_hits + stats.cache.inflight_waits;
+  // The global stage below (problem build and greedy pass) is the flow's
+  // memory peak, so the sweep's state goes first: the scheduler with its job records, cone cache and worker
+  // pools, and the cone texts.
+  scheduler.reset();
+  texts = {};
+
   // --- Global gate assignment ------------------------------------------
   // Per-cone delay budgets do not compose exactly, but once the sleep
   // vector is fixed the gate assignment is polynomial: one global greedy
   // pass at the stitched sleep vector settles the gates (always feasible:
-  // it starts from all-fastest). The state-only baseline assigns no gates;
-  // its cones return all-fastest configs, so the stitch is kept as is.
-  if (options.method != "state") {
+  // it starts from all-fastest). Its lanes -- the independent gate
+  // components -- run on the scheduler's worker count, with the same
+  // result as one thread. The problem's budget is the global one. The
+  // state-only baseline assigns no gates; its cones return all-fastest
+  // configs, so the stitch is kept as is.
+  if (options.method == "state") {
+    out.budget = sta::compute_delay_budget(netlist);
+    out.constraint_ps = out.budget.constraint_ps(options.penalty_fraction);
+  } else {
     const opt::AssignmentProblem problem(netlist, options.penalty_fraction);
-    opt::Solution greedy = opt::assign_gates_greedy(problem, sleep);
+    out.budget = problem.budget();
+    out.constraint_ps = problem.constraint_ps();
+    opt::Solution greedy = opt::assign_gates_greedy(
+        problem, sleep, opt::GateOrder::kBySavings, stats.workers);
     for (std::size_t g = 0; g < config.size(); ++g) {
       if (config[g].variant != greedy.config[g].variant ||
           config[g].mapping.logical_to_physical !=
@@ -290,10 +306,6 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   const double delay = timing.analyze(config);  // from-scratch verify
   const double leakage = sim::circuit_leakage_from_values_na(
       netlist, config, sim::simulate(netlist, sleep));
-
-  const SchedulerStats stats = scheduler.stats();
-  out.unique_solves = stats.executed;
-  out.cache_hits = stats.cache.hits + stats.cache.disk_hits + stats.cache.inflight_waits;
 
   out.solution.sleep_vector = std::move(sleep);
   out.solution.config = std::move(config);

@@ -34,12 +34,21 @@
 // gate-tree descent, so one global opt::assign_gates_greedy pass at the
 // stitched sleep vector settles the gates. It starts from all-fastest and
 // so always meets the constraint; the cone gate configs only feed the
-// boundary-timing seeds of later levels. The state-only baseline assigns
-// no gates (its cones return all-fastest configs), so its stitch is kept
-// as is. The final config is confirmed by one from-scratch STA, and its
-// leakage is a full 2-valued simulation of the stitched sleep vector plus
-// exact table evaluation -- no cone-level approximation survives into the
-// reported number.
+// boundary-timing seeds of later levels. The pass runs in lanes, one per
+// weakly connected component of the gate graph (gates joined through
+// gate->driver edges; a shared primary input joins nothing), on up to the
+// scheduler's worker count of threads. The lanes share one timing state:
+// each writes only its own component's signals and config entries, and a
+// trial checks only the observe points it changed, which is exact because
+// every other point already meets the constraint. So the result is
+// bit-identical to one thread, and a one-component circuit takes the
+// serial pass. The sweep's scheduler and cone texts are freed before the
+// global stage, whose working set is the flow's memory peak. The state-only
+// baseline assigns no gates (its cones return all-fastest configs), so
+// its stitch is kept as is. The final config is confirmed by one
+// from-scratch STA, and its leakage is a full 2-valued simulation of the
+// stitched sleep vector plus exact table evaluation -- no cone-level
+// approximation survives into the reported number.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +70,8 @@ struct HierOptions {
   /// Global delay penalty; each cone is solved at this fraction of its
   /// own fast/slow spread.
   double penalty_fraction = 0.05;
-  /// Scheduler worker threads (0 = all hardware threads).
+  /// Scheduler worker threads (0 = all hardware threads); also the
+  /// thread cap of the global greedy pass's lanes.
   int workers = 0;
   /// Per-cone search budget (heu2/state-only; heu1 ignores it).
   double time_limit_s = 1.0;

@@ -10,11 +10,12 @@
 // search mode, and pins are part of the solution-cache identity).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/solution_io.hpp"
+#include "merged_blocks.hpp"
 #include "netlist/benchmarks.hpp"
 #include "opt/gate_assign.hpp"
 #include "opt/problem.hpp"
@@ -70,19 +71,20 @@ TEST(HierQuality, WithinTenPercentOfFlatHeu1) {
 
 TEST(HierQuality, StitchIsDeterministicAcrossWorkerCounts) {
   // Votes are applied in ascending partition-id order within each level,
-  // independent of scheduler completion order -- so the whole stitched
+  // independent of scheduler completion order, and the global greedy
+  // pass gives the same bits on any number of lanes -- so the whole
   // solution must be byte-identical no matter how many workers raced on
-  // the cone jobs. alu64 is the case where the stitched gate configs
-  // were furthest from the global greedy candidate.
-  for (const auto& [name, max_gates] :
-       {std::pair<const char*, int>{"c880", 60}, {"alu64", 200}}) {
-    SCOPED_TRACE(name);
-    const netlist::Netlist n = netlist::make_benchmark(name, lib());
+  // the cone jobs and the lanes. alu64 is the case where the stitched gate
+  // configs were furthest from the global greedy candidate; the merged
+  // blocks have several lanes, so workers > 1 takes the multi-lane pass.
+  const auto check = [](const netlist::Netlist& n, int max_gates,
+                        std::initializer_list<int> worker_counts) {
+    SCOPED_TRACE(n.name());
     svc::HierOptions options;
     options.partition.max_gates = max_gates;
     options.random_vectors = 16;
     std::string reference;
-    for (int workers : {1, 4}) {
+    for (int workers : worker_counts) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
       options.workers = workers;
       const svc::HierResult hr = svc::optimize_hierarchical(n, options);
@@ -93,7 +95,10 @@ TEST(HierQuality, StitchIsDeterministicAcrossWorkerCounts) {
         EXPECT_EQ(text, reference);
       }
     }
-  }
+  };
+  check(netlist::make_benchmark("c880", lib()), 60, {1, 4});
+  check(netlist::make_benchmark("alu64", lib()), 200, {1, 4});
+  check(merged_blocks(lib(), {12, 16, 20, 24}, 600, 5), 300, {1, 2, 4});
 }
 
 TEST(HierQuality, BoundaryTimingSeedReducesRepair) {
