@@ -573,9 +573,8 @@ DelayBudget compute_delay_budget(const netlist::Netlist& netlist,
   const double scale =
       model::resistance_factor(tech, model::VtClass::kHigh, model::ToxClass::kThick);
 
-  TimingState slow(netlist);
-  slow.set_boundary(boundary);
-  budget.slow_delay_ps = slow.analyze(fast, scale);
+  // analyze recomputes every signal, so one state serves both corners.
+  budget.slow_delay_ps = timing.analyze(fast, scale);
   return budget;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,10 +136,48 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     std::iota(batches[0].begin(), batches[0].end(), std::size_t{0});
   }
 
-  std::vector<std::string> texts;
-  texts.reserve(num_parts);
-  for (const opt::Partition& part : partitions) {
-    texts.push_back(opt::canonical_bench_text(netlist, part));
+  // Control-point index per signal for the sleep votes and pin strings.
+  std::vector<int> cp_index(static_cast<std::size_t>(netlist.num_signals()), -1);
+  for (int i = 0; i < netlist.num_control_points(); ++i) {
+    cp_index[static_cast<std::size_t>(netlist.control_points()[i])] = i;
+  }
+
+  // --- Voter census ------------------------------------------------------
+  // The answer's gates come from the global pass below, so a cone reaches
+  // the answer only through its votes (the first sleep bits it sets, in
+  // sweep order) and, for searches that read timing, through the seeds it
+  // feeds a later voter. Heu1's descent is delay-blind
+  // (BoundKind::kMinVariant) and the state-only search assigns no gates,
+  // so they solve only the voting cones, unseeded. Other methods also
+  // solve every cone below the last voting level, which keeps each seed
+  // and the refresh schedule exact.
+  const bool seeded = options.seed_boundary_timing && options.method != "heu1" &&
+                      options.method != "state";
+  // voter[cp]: the partition casting control point cp's vote (-1: none).
+  std::vector<int> voter(static_cast<std::size_t>(netlist.num_control_points()), -1);
+  std::vector<bool> solve(num_parts, false);
+  std::size_t last_voting_batch = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (const std::size_t p : batches[b]) {
+      for (const int f : partitions[p].boundary_inputs) {
+        const int cp = cp_index[static_cast<std::size_t>(f)];
+        if (cp < 0 || voter[static_cast<std::size_t>(cp)] >= 0) continue;
+        voter[static_cast<std::size_t>(cp)] = static_cast<int>(p);
+        solve[p] = true;
+        last_voting_batch = b;
+      }
+    }
+  }
+  for (std::size_t b = 0; seeded && b < last_voting_batch; ++b) {
+    for (const std::size_t p : batches[b]) solve[p] = true;
+  }
+  for (std::vector<std::size_t>& batch : batches) {
+    std::erase_if(batch, [&](std::size_t p) { return !solve[p]; });
+  }
+
+  std::vector<std::string> texts(num_parts);
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    if (solve[p]) texts[p] = opt::canonical_bench_text(netlist, partitions[p]);
   }
 
   Scheduler::Options sched_options;
@@ -163,19 +202,14 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     return spec;
   };
 
-  // Control-point index per signal for the sleep votes and pin strings.
-  std::vector<int> cp_index(static_cast<std::size_t>(netlist.num_signals()), -1);
-  for (int i = 0; i < netlist.num_control_points(); ++i) {
-    cp_index[static_cast<std::size_t>(netlist.control_points()[i])] = i;
-  }
-
   std::vector<bool> sleep(static_cast<std::size_t>(netlist.num_control_points()),
                           false);
-  // Control points already decided by an earlier (first) voter.
-  std::vector<bool> voted(sleep.size(), false);
+  // Skipped cones keep all-fastest configs, which is also what a
+  // state-only cone returns.
   sim::CircuitConfig config = sim::fastest_config(netlist);
-  std::vector<bool> values;          // Global valuation, refreshed per batch.
-  sta::TimingState timing(netlist);  // Reused across batches and the stitch.
+  std::vector<bool> values;  // Global valuation, refreshed per batch.
+  // Built at the first seed refresh, so only seeded methods pay for it.
+  std::optional<sta::TimingState> timing;
 
   // Boundary-timing seeds come from a full STA of the stitched-so-far
   // config. Re-analyzing at every level would cost levels * O(netlist) --
@@ -188,7 +222,6 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   const std::size_t seed_refresh_gates = std::max<std::size_t>(
       1, static_cast<std::size_t>(netlist.num_gates()) / 16);
   std::size_t stale_gates = 0;
-  bool timing_seeded = false;
 
   // --- Level-ordered sweep ---------------------------------------------
   // Votes and config copies happen in ascending partition id within each
@@ -196,17 +229,18 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   // byte-identical under any worker count or job completion order.
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const std::vector<std::size_t>& batch = batches[b];
+    if (batch.empty()) continue;
     // Level b > 0 cones see the stitched upstream context. Signals feeding
     // them are driven by partitions at levels < b, whose cones -- values
     // and timing alike -- are fully determined by the votes and configs
     // already stitched (unvoted control points default to 0, matching the
     // final forced-0 stitch).
     const bool pin = options.pin_boundaries && b > 0;
-    const bool seed = options.seed_boundary_timing && b > 0;
+    const bool seed = seeded && b > 0;
     if (pin) values = sim::simulate(netlist, sleep);
-    if (seed && (!timing_seeded || stale_gates >= seed_refresh_gates)) {
-      timing.analyze(config);
-      timing_seeded = true;
+    if (seed && (!timing || stale_gates >= seed_refresh_gates)) {
+      if (!timing) timing.emplace(netlist);
+      timing->analyze(config);
       stale_gates = 0;
     }
 
@@ -231,8 +265,12 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
             pins[j] = values[static_cast<std::size_t>(f)] ? '1' : '0';
             any = true;
           } else {
+            // Every control point among a cone's inputs has a voter: this
+            // cone or one swept before it.
             const int cp = cp_index[static_cast<std::size_t>(f)];
-            if (cp >= 0 && voted[static_cast<std::size_t>(cp)]) {
+            if (cp >= 0 &&
+                level[static_cast<std::size_t>(voter[static_cast<std::size_t>(cp)])] <
+                    static_cast<int>(b)) {
               pins[j] = sleep[static_cast<std::size_t>(cp)] ? '1' : '0';
               any = true;
             }
@@ -241,7 +279,7 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
         if (any) spec.pinned_inputs = std::move(pins);
       }
       if (seed) {
-        spec.boundary_timing = boundary_timing_string(part, netlist, timing);
+        spec.boundary_timing = boundary_timing_string(part, netlist, *timing);
       }
       jobs.push_back(scheduler->submit(spec));
     }
@@ -256,9 +294,9 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
         const int cp = cp_index[static_cast<std::size_t>(part.boundary_inputs[j])];
         // Boundary inputs driven by other partitions carry no vote: the
         // real circuit determines them.
-        if (cp < 0 || voted[static_cast<std::size_t>(cp)]) continue;
-        voted[static_cast<std::size_t>(cp)] = true;
-        sleep[static_cast<std::size_t>(cp)] = sub.sleep_vector[j];
+        if (cp >= 0 && voter[static_cast<std::size_t>(cp)] == static_cast<int>(p)) {
+          sleep[static_cast<std::size_t>(cp)] = sub.sleep_vector[j];
+        }
       }
       for (std::size_t k = 0; k < part.gates.size(); ++k) {
         config[static_cast<std::size_t>(part.gates[k])] = sub.config[k];
@@ -271,10 +309,12 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
   out.unique_solves = stats.executed;
   out.cache_hits = stats.cache.hits + stats.cache.disk_hits + stats.cache.inflight_waits;
   // The global stage below (problem build and greedy pass) is the flow's
-  // memory peak, so the sweep's state goes first: the scheduler with its job records, cone cache and worker
-  // pools, and the cone texts.
+  // memory peak, so the sweep's state goes first: the scheduler with its
+  // job records, cone cache and worker pools, the cone texts and the seed
+  // timing state.
   scheduler.reset();
   texts = {};
+  timing.reset();
 
   // --- Global gate assignment ------------------------------------------
   // Per-cone delay budgets do not compose exactly, but once the sleep
@@ -303,7 +343,7 @@ HierResult optimize_hierarchical(const netlist::Netlist& netlist,
     }
     config = std::move(greedy.config);
   }
-  const double delay = timing.analyze(config);  // from-scratch verify
+  const double delay = sta::TimingState(netlist).analyze(config);  // verify
   const double leakage = sim::circuit_leakage_from_values_na(
       netlist, config, sim::simulate(netlist, sleep));
 

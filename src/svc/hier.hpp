@@ -1,5 +1,5 @@
-// Hierarchical standby optimization: partition -> boundary-aware level
-// sweep -> stitch -> global greedy pass -> verify.
+// Hierarchical standby optimization: partition -> voter census ->
+// boundary-aware level sweep -> stitch -> global greedy pass -> verify.
 //
 // Scales the paper's method to 100k..1M-gate circuits where the flat state
 // tree is out of reach. The circuit is cut into gate-budgeted clusters
@@ -12,29 +12,38 @@
 // partition's level is one more than the deepest partition driving any of
 // its boundary inputs). When a level-L cone is scheduled, every boundary
 // input driven by an already-solved upstream partition is *pinned* to its
-// stitched simulated value (JobSpec::pinned_inputs), and its measured
-// upstream arrival/slew from a global STA of the stitched-so-far config
-// seeds the cone's timing (JobSpec::boundary_timing; the STA refreshes
-// once ~1/16 of the gates were reconfigured since the last analysis, so
-// deep partition DAGs do not pay one full-circuit analysis per level) --
-// so the cone optimizes against its real logical and electrical context
-// instead of a free-boundary relaxation. Same-level cones still run in parallel; both
+// stitched simulated value (JobSpec::pinned_inputs). For heu2 and exact,
+// its measured upstream arrival/slew from a global STA of the
+// stitched-so-far config also seeds the cone's timing
+// (JobSpec::boundary_timing; the STA refreshes once ~1/16 of the gates
+// were reconfigured since the last analysis, so deep partition DAGs do
+// not pay one full-circuit analysis per level) -- so the cone optimizes
+// against its real logical and electrical context instead of a
+// free-boundary relaxation. Same-level cones still run in parallel; both
 // context strings are part of the cone's cache key, so hits stay sound.
 //
 // The stitch assembles one candidate on the real circuit:
-//  * sleep bits: votes over the global control points in ascending
-//    partition-id order within each level (deterministic under any worker
-//    count), remaining points forced to 0;
+//  * sleep bits: each control point takes the vote of the first cone that
+//    has it among its boundary inputs, in sweep order (ascending level,
+//    then ascending partition id; deterministic under any worker count),
+//    remaining points forced to 0;
 //  * gate configs: copied per gate from the cone solutions (cells and pin
 //    order are preserved by the canonical cone text, so variants and pin
-//    mappings transfer verbatim).
+//    mappings transfer verbatim); cones that are not solved stay
+//    all-fastest.
 //
 // The cones are what the exponential part -- the sleep vector -- needs.
 // Once it is fixed, the gate assignment is the paper's polynomial
 // gate-tree descent, so one global opt::assign_gates_greedy pass at the
 // stitched sleep vector settles the gates. It starts from all-fastest and
 // so always meets the constraint; the cone gate configs only feed the
-// boundary-timing seeds of later levels. The pass runs in lanes, one per
+// boundary-timing seeds of later levels. A cone therefore reaches the
+// answer only through its votes and, for heu2/exact, the seeds it feeds
+// later voters. A census over the partition structure finds the voting
+// cones before the sweep, and only those are solved -- plus, for
+// heu2/exact, every cone below the last voting level, so each seed stays
+// exact. Heu1's descent is delay-blind and the state-only search assigns
+// no gates, so their cones go unseeded. The pass runs in lanes, one per
 // weakly connected component of the gate graph (gates joined through
 // gate->driver edges; a shared primary input joins nothing), on up to the
 // scheduler's worker count of threads. The lanes share one timing state:
@@ -42,8 +51,9 @@
 // trial checks only the observe points it changed, which is exact because
 // every other point already meets the constraint. So the result is
 // bit-identical to one thread, and a one-component circuit takes the
-// serial pass. The sweep's scheduler and cone texts are freed before the
-// global stage, whose working set is the flow's memory peak. The state-only
+// serial pass. The sweep's scheduler, cone texts and seed timing state are
+// freed before the global stage, whose working set is the flow's memory
+// peak. The state-only
 // baseline assigns no gates (its cones return all-fastest configs), so
 // its stitch is kept as is. The final config is confirmed by one
 // from-scratch STA, and its leakage is a full 2-valued simulation of the
@@ -93,6 +103,9 @@ struct HierOptions {
   bool pin_boundaries = true;
   /// Seed each cone's boundary inputs with the measured upstream
   /// arrival/slew from the global STA of the stitched-so-far config.
+  /// Only heu2 and exact read the seeds: heu1's descent is delay-blind and
+  /// the state-only search assigns no gates, so their cones are unseeded
+  /// either way.
   bool seed_boundary_timing = true;
 };
 
@@ -103,11 +116,15 @@ struct HierResult {
   sta::DelayBudget budget;   ///< Global all-fast / all-slow endpoints.
   double constraint_ps = 0.0;
   int partitions = 0;
-  std::uint64_t unique_solves = 0;  ///< Cone jobs actually executed.
+  /// Cone jobs actually executed. Cones that cannot reach the answer are
+  /// never submitted, so unique_solves + cache_hits counts the solved
+  /// cones, not `partitions`.
+  std::uint64_t unique_solves = 0;
   std::uint64_t cache_hits = 0;     ///< Cone jobs served from the cache.
   int repaired_gates = 0;  ///< Gates whose config the global greedy
-                           ///< pass changed from the stitched one
-                           ///< (0 for state).
+                           ///< pass changed from the stitched one,
+                           ///< including the gates of unsolved cones,
+                           ///< which stitch all-fastest (0 for state).
   int levels = 0;          ///< Depth of the partition DAG sweep.
   /// Always 0 (the flow has no refine loop); kept for the perfbench
   /// `hier.refine_*` counters, which read them.

@@ -4,12 +4,14 @@
 // flat solver, so these tests pin the promises that matter: the hier/flat
 // leakage ratio on every suite circuit at both partition budgets, the
 // gates settled by one global greedy pass at the hier sleep vector,
-// byte-identical stitches under any worker count, the repair-count
-// benefit of seeding boundary timing, and the pinned-inputs contract the
-// sweep is built on (a pinned control point is never flipped by any
-// search mode, and pins are part of the solution-cache identity).
+// byte-identical stitches under any worker count, the cones the sweep
+// solves (only those whose votes or seeds can reach the answer) and the
+// pinned-inputs contract the sweep is built on (a pinned control point is
+// never flipped by any search mode, and pins are part of the
+// solution-cache identity).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "merged_blocks.hpp"
 #include "netlist/benchmarks.hpp"
 #include "opt/gate_assign.hpp"
+#include "opt/partition.hpp"
 #include "opt/problem.hpp"
 #include "opt/state_search.hpp"
 #include "sim/leakage_eval.hpp"
@@ -101,10 +104,10 @@ TEST(HierQuality, StitchIsDeterministicAcrossWorkerCounts) {
   check(merged_blocks(lib(), {12, 16, 20, 24}, 600, 5), 300, {1, 2, 4});
 }
 
-TEST(HierQuality, BoundaryTimingSeedReducesRepair) {
-  // Seeding cones with measured upstream arrival/slew makes the per-cone
-  // delay budgets composable, so the stitched config should need no more
-  // global repair than the unseeded run.
+TEST(HierQuality, Heu1IgnoresBoundarySeeds) {
+  // Heu1's cone descent is delay-blind, so boundary timing seeds cannot
+  // change its votes: the flow runs heu1 cones unseeded, and the option
+  // leaves the solution byte-identical.
   const netlist::Netlist n = netlist::make_benchmark("c6288", lib());
   svc::HierOptions options;
   options.partition.max_gates = 400;
@@ -113,8 +116,103 @@ TEST(HierQuality, BoundaryTimingSeedReducesRepair) {
   const svc::HierResult unseeded = svc::optimize_hierarchical(n, options);
   options.seed_boundary_timing = true;
   const svc::HierResult seeded = svc::optimize_hierarchical(n, options);
-  EXPECT_LE(seeded.repaired_gates, unseeded.repaired_gates);
+  EXPECT_EQ(core::write_solution(seeded.solution, n),
+            core::write_solution(unseeded.solution, n));
   EXPECT_LE(seeded.solution.delay_ps, seeded.constraint_ps);
+}
+
+/// Cones the sweep must solve, from the partition structure alone: in
+/// sweep order (ascending level, then partition id) a cone votes when it
+/// is the first to hold some control point among its boundary inputs.
+/// With `seeded`, every cone below the last voting level is solved too.
+int expected_solves(const netlist::Netlist& n, const opt::PartitionOptions& options,
+                    bool seeded) {
+  const std::vector<opt::Partition> parts = opt::partition_netlist(n, options);
+  std::vector<int> part_of(static_cast<std::size_t>(n.num_gates()), -1);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const int g : parts[p].gates) part_of[static_cast<std::size_t>(g)] = static_cast<int>(p);
+  }
+  std::vector<int> level(parts.size(), 0);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const int f : parts[p].boundary_inputs) {
+      const int d = n.driver(f);
+      if (d >= 0) {
+        level[p] = std::max(level[p],
+                            level[static_cast<std::size_t>(part_of[static_cast<std::size_t>(d)])] + 1);
+      }
+    }
+  }
+  std::vector<std::size_t> order(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) order[p] = p;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return level[a] < level[b]; });
+  const std::vector<int>& cps = n.control_points();
+  std::vector<bool> held(static_cast<std::size_t>(n.num_signals()), false);
+  std::vector<bool> votes(parts.size(), false);
+  int last_voting_level = 0;
+  for (const std::size_t p : order) {
+    for (const int f : parts[p].boundary_inputs) {
+      if (held[static_cast<std::size_t>(f)] ||
+          std::find(cps.begin(), cps.end(), f) == cps.end()) {
+        continue;
+      }
+      held[static_cast<std::size_t>(f)] = true;
+      votes[p] = true;
+      last_voting_level = level[p];
+    }
+  }
+  int solves = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    if (votes[p] || (seeded && level[p] < last_voting_level)) ++solves;
+  }
+  return solves;
+}
+
+TEST(HierQuality, SolvesOnlyVotingCones) {
+  // A cone reaches the answer only through its first sleep-bit votes and,
+  // for heu2/exact, through the boundary seeds it feeds later voters, so
+  // heu1 submits only the voting cones and heu2 adds every cone below the
+  // last voting level. Skipping the others must not move the answer:
+  // the heu1 solution texts are the ones the flow wrote when it still
+  // solved every cone.
+  struct Case {
+    netlist::Netlist n;
+    int max_gates;
+    int voters;
+    const char* digest;
+  };
+  const std::vector<Case> cases = [] {
+    std::vector<Case> out;
+    out.push_back({netlist::make_benchmark("c6288", lib()), 200, 2, "cf4231198e79a68d"});
+    out.push_back({netlist::make_benchmark("alu64", lib()), 200, 3, "5ab1e4b3a37ba2a0"});
+    out.push_back({merged_blocks(lib(), {12, 16, 20, 24}, 600, 5), 300, 4, "5638fa6ac94b2b72"});
+    return out;
+  }();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.n.name() + " max_gates=" + std::to_string(c.max_gates));
+    svc::HierOptions options;
+    options.partition.max_gates = c.max_gates;
+    options.random_vectors = 16;
+    const int voters = expected_solves(c.n, options.partition, false);
+    EXPECT_EQ(voters, c.voters);
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE("heu1 workers=" + std::to_string(workers));
+      options.workers = workers;
+      const svc::HierResult hr = svc::optimize_hierarchical(c.n, options);
+      EXPECT_GT(hr.partitions, voters);
+      EXPECT_EQ(hr.unique_solves + hr.cache_hits, static_cast<std::uint64_t>(voters));
+      const std::string text = core::write_solution(hr.solution, c.n);
+      EXPECT_EQ(svc::hex64(svc::Fnv().str(text).value()), c.digest);
+    }
+
+    options.method = "heu2";
+    options.time_limit_s = 0.02;
+    options.workers = 4;
+    const svc::HierResult hr = svc::optimize_hierarchical(c.n, options);
+    EXPECT_EQ(hr.unique_solves + hr.cache_hits,
+              static_cast<std::uint64_t>(expected_solves(c.n, options.partition, true)));
+    EXPECT_LE(hr.solution.delay_ps, hr.constraint_ps);
+  }
 }
 
 TEST(PinnedInputs, NoSearchModeFlipsAPinnedControlPoint) {

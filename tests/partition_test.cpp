@@ -219,7 +219,8 @@ TEST(Hierarchical, RejectsVtStateMethod) {
 TEST(Hierarchical, DedupsIdenticalConesToOneSolve) {
   // Twin-component netlist from above, at partition budget 2: both cones
   // serialize identically, so the scheduler executes one solve and serves
-  // the other from the cache (memory hit or inflight wait).
+  // the other from the cache (memory hit or inflight wait). Each twin
+  // holds its own inputs, so both vote and both are submitted.
   netlist::Netlist n("twin", &lib());
   const int nand2 = lib().cell_index("NAND2");
   for (int copy = 0; copy < 2; ++copy) {

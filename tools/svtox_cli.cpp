@@ -398,7 +398,7 @@ int cmd_hier(const Args& args) {
               static_cast<unsigned long long>(hr.unique_solves),
               static_cast<unsigned long long>(hr.cache_hits));
   std::printf("hier %s: %.3f uA, delay %.0f ps (constraint %.0f ps, "
-              "%d gates repaired), %s\n",
+              "global pass changed %d gates), %s\n",
               options.method.c_str(), hr.solution.leakage_na / 1e3,
               hr.solution.delay_ps, hr.constraint_ps, hr.repaired_gates,
               report::format_seconds(hr.runtime_s).c_str());
